@@ -345,6 +345,20 @@ def _verify_sigma_certificate(G: graphs.Graph, res, tol: Tolerance) -> dict:
             "X_value",
             abs(float(np.sum(X)) - res.value) <= 1e4 * tol.feas_tol * n,
         )
+    if "coloring" in cert and "clique" in cert:
+        # exact combinatorial re-check: a k-clique and a proper colouring
+        # with at most k colours pin sigma at k/(k-1)
+        col, K = list(cert["coloring"]), list(cert["clique"])
+        k = len(K)
+        _check(rep, "coloring_proper",
+               len(col) == n and all(col[u] != col[v] for u, v in G.edges))
+        _check(rep, "coloring_size", len(set(col)) <= k)
+        _check(rep, "clique_complete",
+               len(set(K)) == k
+               and all((min(u, v), max(u, v)) in G.edges
+                       for i, u in enumerate(K) for v in K[i + 1:]))
+        _check(rep, "coloring_value",
+               k >= 2 and abs(res.value - k / (k - 1)) <= 1e-12)
     return rep
 
 

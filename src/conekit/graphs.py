@@ -9,10 +9,12 @@ strictly below the clique threshold ("gap graphs") carry indecomposable
 positive maps.
 
 Provided here: a small immutable ``Graph`` type with a graph6 codec, exact
-clique numbers by branch and bound, sigma via a direct SDP with explicit
+maximum cliques by branch and bound, sigma via a direct SDP with explicit
 primal/dual certificates, symmetry-reduced linear programs (circulant and
-rank-3 strongly regular), exact closed forms, the level-r theta bound, a
-catalog of named graphs, and a scanner for gap graphs over graph6 lists.
+rank-3 strongly regular), exact closed forms (cycles, rank-3 strongly
+regular graphs, and graphs with an omega-colouring), the level-r theta
+bound, a catalog of named graphs, and a scanner for gap graphs over graph6
+lists.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "UnsupportedOrder",
     "InconsistentParams",
     "lambda_max",
+    "max_clique",
     "clique_number",
     "independence_number",
     "sigma",
@@ -406,18 +409,24 @@ def lambda_max(G: Graph) -> float:
     return float(w[-1])
 
 
-def clique_number(G: Graph) -> int:
-    """Exact clique number by branch and bound with a greedy colouring bound."""
-    n = G.n
-    if n > 64:
-        raise SizeLimit("clique search supports n <= 64")
-    if n == 0:
-        return 0
-    adj = [0] * n
+def _adjacency_bits(G: Graph) -> list:
+    """Neighbourhoods as integer bitsets: bit v of entry u is set iff uv is an edge."""
+    adj = [0] * G.n
     for u, v in G.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    return adj
+
+
+def max_clique(G: Graph) -> list:
+    """A maximum clique (sorted vertex list) by branch and bound with a
+    greedy colouring bound."""
+    n = G.n
+    if n > 64:
+        raise SizeLimit("clique search supports n <= 64")
+    adj = _adjacency_bits(G)
     best = 0
+    best_set = 0
 
     def color_order(P: int):
         order = []
@@ -435,8 +444,8 @@ def clique_number(G: Graph) -> int:
                 bound.append(color)
         return order, bound
 
-    def expand(size: int, P: int) -> None:
-        nonlocal best
+    def expand(size: int, R: int, P: int) -> None:
+        nonlocal best, best_set
         order, bound = color_order(P)
         for i in range(len(order) - 1, -1, -1):
             if size + bound[i] <= best:
@@ -444,17 +453,73 @@ def clique_number(G: Graph) -> int:
             v = order[i]
             sub = P & adj[v]
             if sub:
-                expand(size + 1, sub)
+                expand(size + 1, R | (1 << v), sub)
             elif size + 1 > best:
-                best = size + 1
+                best, best_set = size + 1, R | (1 << v)
             P &= ~(1 << v)
 
-    expand(0, (1 << n) - 1)
-    return best
+    expand(0, 0, (1 << n) - 1)
+    return [v for v in range(n) if best_set >> v & 1]
+
+
+def clique_number(G: Graph) -> int:
+    """Exact clique number."""
+    return len(max_clique(G))
 
 
 def independence_number(G: Graph) -> int:
     return clique_number(G.complement())
+
+
+# search nodes allowed to the colouring route of sigma before it gives up
+_COLORING_NODE_BUDGET = 20_000
+
+
+def _omega_coloring(G: Graph, clique: Sequence[int]) -> list | None:
+    """A proper colouring with len(clique) colours, as colour labels per
+    vertex, or None when none exists or the search exceeds its node budget.
+
+    The clique vertices are precoloured 0..k-1 (any k-colouring gives them
+    distinct colours, so this loses nothing); the rest are placed by
+    backtracking in DSATUR order: the vertex with the fewest free colours
+    first, ties broken by the most uncoloured neighbours.
+    """
+    k = len(clique)
+    adj = _adjacency_bits(G)
+    classes = [1 << v for v in clique]
+    nodes = 0
+
+    def place(rest: int) -> bool:
+        nonlocal nodes
+        if not rest:
+            return True
+        nodes += 1
+        if nodes > _COLORING_NODE_BUDGET:
+            return False
+        pick, pick_free, pick_deg = -1, None, -1
+        Q = rest
+        while Q:
+            v = (Q & -Q).bit_length() - 1
+            Q &= Q - 1
+            free = [c for c in range(k) if not classes[c] & adj[v]]
+            if not free:
+                return False
+            deg = (adj[v] & rest).bit_count()
+            if pick_free is None or (len(free), -deg) < (len(pick_free), -pick_deg):
+                pick, pick_free, pick_deg = v, free, deg
+        for c in pick_free:
+            classes[c] |= 1 << pick
+            if place(rest & ~(1 << pick)):
+                return True
+            classes[c] &= ~(1 << pick)
+        return False
+
+    rest = (1 << G.n) - 1
+    for v in clique:
+        rest &= ~(1 << v)
+    if not place(rest):
+        return None
+    return [next(c for c in range(k) if classes[c] >> v & 1) for v in range(G.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -478,23 +543,35 @@ class ThetaResult:
 def sigma(G: Graph, strategy: str = "auto", tol=None) -> SigmaResult:
     """Largest t with J - t A_G in the PSD-plus-nonnegative cone.
 
-    Strategies: ``auto`` (closed form for detected cycles and catalog rank-3
-    strongly regular graphs, otherwise the direct SDP), ``sdp``, ``twirl``
+    Strategies: ``auto`` (closed form for catalog rank-3 strongly regular
+    graphs and detected cycles; then, when a proper colouring with
+    omega(G) colours exists, i.e. chi(G) = omega(G), the exact value
+    omega/(omega - 1); otherwise the direct SDP), ``sdp``, ``twirl``
     (symmetry-reduced LP, raising UnsupportedSymmetry when no reduction
     applies), ``circulant`` and ``srg3`` (the two reductions individually).
     The certificate carries the splitting J - tA = P + E at the optimum and a
-    dual witness X (PSD, entrywise nonnegative, <A,X> = 1, <J,X> = value).
+    dual witness X (PSD, entrywise nonnegative, <A,X> = 1, <J,X> = value);
+    the colouring route adds the ``coloring`` and ``clique`` that fix it.
+    Since that route needs chi = omega, every gap graph has chi > omega.
     """
+    return _sigma(G, strategy, tol)
+
+
+def _sigma(G: Graph, strategy: str, tol=None, clique=None) -> SigmaResult:
+    """sigma with an optional maximum clique the caller already found."""
     if not G.edges:
         raise ValueError("sigma requires a graph with at least one edge")
     key = strategy.strip().lower()
     if key == "auto":
         if G.srg is not None and G.rank3:
             res = _sigma_srg_closed(G)
+        elif _cycle_order(G) is not None:
+            res = _sigma_cycle_closed(G, tol)
         else:
-            order = _cycle_order(G)
-            if order is not None:
-                res = _sigma_cycle_closed(G, tol)
+            K = max_clique(G) if clique is None else clique
+            coloring = _omega_coloring(G, K)
+            if coloring is not None:
+                res = _sigma_coloring_closed(G, K, coloring)
             else:
                 res = _sigma_sdp(G, tol)
     elif key == "sdp":
@@ -556,6 +633,37 @@ def _sigma_sdp(G: Graph, tol=None) -> SigmaResult:
         "dual_value": float(np.sum(X)),
     }
     return SigmaResult(value, "sdp", cert)
+
+
+def _sigma_coloring_closed(G: Graph, clique: Sequence[int], coloring) -> SigmaResult:
+    """sigma = k/(k-1) from a k-clique and a proper k-colouring.
+
+    With C the same-colour indicator, J - (k/(k-1)) A = P + E where
+    P = (kC - J)/(k-1) is PSD (Cauchy-Schwarz over the colour classes) and
+    E = k/(k-1) (J - A - C) is nonnegative (the colouring is proper); the
+    clique indicator gives the dual X = 1_K 1_K^T / (k(k-1)).
+    """
+    n, k = G.n, len(clique)
+    value = k / (k - 1.0)
+    A = np.asarray(G.adjacency)
+    J = np.ones((n, n))
+    labels = np.asarray(coloring)
+    C = (labels[:, None] == labels[None, :]).astype(float)
+    P = (k * C - J) / (k - 1.0)
+    E = value * (J - A - C)
+    ind = np.zeros(n)
+    ind[list(clique)] = 1.0
+    X = np.outer(ind, ind) / (k * (k - 1.0))
+    cert = {
+        "P": P,
+        "E": E,
+        "t": value,
+        "dual_X": X,
+        "coloring": [int(c) for c in coloring],
+        "clique": [int(v) for v in clique],
+        "residual": float(np.max(np.abs(J - value * A - P - E))),
+    }
+    return SigmaResult(value, "coloring-closed-form", cert)
 
 
 def sigma_dual_bound(G: Graph, tol=None) -> tuple[float, np.ndarray]:
@@ -874,8 +982,9 @@ def classify_map(G: Graph, tol=None) -> ThresholdReport:
     if not G.edges:
         raise ValueError("classification requires a graph with at least one edge")
     lam = lambda_max(G)
-    om = clique_number(G)
-    sig = sigma(G, "auto", tol)
+    K = max_clique(G)
+    om = len(K)
+    sig = _sigma(G, "auto", tol, K)
     t_cp = 1.0 / lam
     t_pos = 1.0 + 1.0 / (om - 1)
     if t_cp > min(1.0, sig.value) + 1e-7 or sig.value > t_pos + 1e-7:
@@ -1123,7 +1232,7 @@ def catalog(name: str) -> Graph:
 # gap scanning
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapRecord:
     """Per-line scan outcome; error is set when the record was unusable."""
 
@@ -1167,8 +1276,9 @@ def scan_gap(lines: Iterable[str], tol: float = 1e-6) -> list:
             )
             continue
         try:
-            om = clique_number(G)
-            res = sigma(G, "auto")
+            K = max_clique(G)
+            om = len(K)
+            res = _sigma(G, "auto", None, K)
         except (ValueError, ArithmeticError, SizeLimit) as exc:
             out.append(GapRecord(line_no, text, n=G.n, error=str(exc)))
             continue

@@ -548,7 +548,7 @@ def is_pdec(pair: MatrixPair, tol=None) -> PairVerdict:
                         (bone, _pick_im(k, ii, jj)))
     prob.set_cost(bone, np.eye(k))
 
-    sol = solve_sdp(prob)
+    sol = solve_sdp(prob, tol)
     if sol.status is SdpStatus.OPTIMAL:
         B1 = np.zeros((n, n), dtype=complex)
         Bk = sol.block(bone)

@@ -23,7 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_tolerance, check_hermitian, inner, off_diag, symmetrize
+from .linalg import (
+    DimensionMismatch,
+    as_tolerance,
+    check_hermitian,
+    inner,
+    off_diag,
+    symmetrize,
+)
 from . import cones
 from .cones import ConeVerdict, Effort, Verdict
 from .pairwise import (
@@ -66,10 +73,6 @@ class LevelNotCertified(ValueError):
 
 class SearchFailed(RuntimeError):
     """The extendible-entangled search exhausted its bracket."""
-
-
-class DimensionMismatch(ValueError):
-    """Operator dimensions do not match the pair."""
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,15 @@ def test_sigma_case_insensitive_and_strategies_agree(capsys):
     assert by_sdp["result"]["provenance"] == "sdp"
 
 
+def test_sigma_coloring_route_verifies(capsys):
+    code, rep = run(capsys, "sigma", "--graph", "g6:C}", "--verify")
+    assert code == 0
+    assert rep["result"]["provenance"] == "coloring-closed-form"
+    assert rep["result"]["value"] == 1.5
+    assert rep["verify"]["ok"]
+    assert rep["verify"]["coloring_proper"] and rep["verify"]["clique_complete"]
+
+
 def test_sigma_inline_graph6_pentagon(capsys):
     code, rep = run(capsys, "sigma", "--graph", "g6:DqK", "--verify")
     assert code == 0

@@ -270,6 +270,98 @@ def test_sigma_wheel6_certificates():
     assert np.max(np.abs(X - M)) <= 1e-6
 
 
+# ---------------------------------------------------------------------------
+# sigma: the colouring route (chi = omega)
+
+def _connected(*orders):
+    for n in orders:
+        for line in (DATA / f"connected{n}.g6").read_text().split():
+            yield gr.Graph.from_graph6(line)
+
+
+def _check_coloring_cert_exact(g, res):
+    cert = res.certificate
+    col, K = cert["coloring"], cert["clique"]
+    k, n = len(K), g.n
+    A = np.rint(g.adjacency).astype(np.int64)
+    J = np.ones((n, n), dtype=np.int64)
+    labels = np.array(col)
+    C = (labels[:, None] == labels[None, :]).astype(np.int64)
+    assert all(col[u] != col[v] for u, v in g.edges)
+    assert set(col) <= set(range(k))
+    assert all(A[u, v] == 1 for i, u in enumerate(K) for v in K[i + 1:])
+    assert np.array_equal((k - 1) * J - k * A, (k * C - J) + k * (J - A - C))
+    assert (J - A - C).min() >= 0
+    assert np.max(np.abs((k - 1) * cert["P"] - (k * C - J))) <= 1e-12
+    assert np.max(np.abs((k - 1) * cert["E"] - k * (J - A - C))) <= 1e-12
+    assert res.value == k / (k - 1)
+
+
+def test_max_clique_is_a_maximum_clique():
+    for name, w in CLIQUES.items():
+        g = gr.catalog(name)
+        K = gr.max_clique(g)
+        assert len(K) == w, name
+        assert all((u, v) in g.edges for i, u in enumerate(K) for v in K[i + 1:])
+    assert gr.max_clique(gr.Graph(0)) == []
+
+
+def test_sigma_coloring_route_k4_minus_edge():
+    g = gr.Graph.from_graph6("C}")
+    res = gr.sigma(g)
+    assert res.provenance == "coloring-closed-form"
+    assert res.value == 1.5
+    _check_coloring_cert_exact(g, res)
+    _check_sigma_cert(g, res)
+
+
+@pytest.mark.parametrize("name", ["wheel6", "tadpole51", "squarepath"])
+def test_sigma_gap_graphs_need_the_sdp(name):
+    # chi > omega on the six-vertex gap graphs, so no omega-colouring exists
+    assert gr.sigma(gr.catalog(name)).provenance == "sdp"
+
+
+def test_sigma_coloring_certificates_over_lists():
+    routes = set()
+    for g in _connected(5, 6, 7):
+        res = gr.sigma(g)
+        routes.add(res.provenance)
+        if res.provenance == "coloring-closed-form":
+            _check_coloring_cert_exact(g, res)
+            _check_sigma_cert(g, res, tol=1e-12)
+    assert routes == {"coloring-closed-form", "cycle-closed-form", "sdp"}
+
+
+def test_sigma_auto_matches_sdp_on_small_graphs():
+    graphs = list(_connected(5, 6))
+    assert len(graphs) == 133
+    for g in graphs:
+        auto = gr.sigma(g).value
+        sdp = gr.sigma(g, strategy="sdp").value
+        assert auto == pytest.approx(sdp, abs=1e-6), g.to_graph6()
+
+
+def test_sigma_coloring_route_relabelling_invariant():
+    rng = np.random.default_rng(4)
+    for g in list(_connected(6, 7))[::25]:
+        perm = rng.permutation(g.n)
+        h = gr.Graph(g.n, frozenset((perm[u], perm[v]) for u, v in g.edges))
+        a, b = gr.sigma(g), gr.sigma(h)
+        assert a.provenance == b.provenance
+        if a.provenance == "sdp":
+            assert a.value == pytest.approx(b.value, abs=1e-6)
+        else:
+            assert a.value == b.value
+
+
+def test_sigma_coloring_budget_falls_through_to_sdp(monkeypatch):
+    g = gr.Graph.from_graph6("C}")
+    monkeypatch.setattr(gr, "_COLORING_NODE_BUDGET", 0)
+    res = gr.sigma(g)
+    assert res.provenance == "sdp"
+    assert res.value == pytest.approx(1.5, abs=1e-6)
+
+
 def test_sigma_dual_bound_matches():
     for name in ("c5", "petersen", "wheel6"):
         g = gr.catalog(name)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conekit.cones import Verdict, berman_matrix, horn_matrix
 from conekit.graphs import catalog
 from conekit import pairwise as pw
+from conekit.linalg import Tolerance
 from conekit.pairwise import (
     DiagonalMismatch,
     PreconditionError,
@@ -358,6 +359,23 @@ def test_pdec_wheel_family_threshold_matches_sigma_pentagon():
     assert below.status is Verdict.MEMBER
     assert above.status is Verdict.NON_MEMBER
     assert verify_pair(pair_form(J, I - (sig + 0.01) * Adj), above)
+
+
+def test_pdec_passes_its_tolerance_to_the_solver(monkeypatch):
+    seen = []
+    solve = pw.solve_sdp
+
+    def spy(prob, tol=None, *args, **kwargs):
+        seen.append(tol)
+        return solve(prob, tol, *args, **kwargs)
+
+    monkeypatch.setattr(pw, "solve_sdp", spy)
+    G = catalog("pentagon")
+    J, I = np.ones((5, 5)), np.eye(5)
+    tol = Tolerance(eig_tol=1e-7, feas_tol=1e-6)
+    v = is_pdec(pair_form(J, I - 1.5 * G.adjacency), tol=tol)
+    assert v.status is Verdict.MEMBER
+    assert seen and all(t is tol for t in seen)
 
 
 def test_pdec_petersen_family_threshold():

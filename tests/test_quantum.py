@@ -4,7 +4,7 @@ import pytest
 from conekit import cones, quantum as qt
 from conekit.cones import Verdict, berman_matrix, horn_matrix
 from conekit.graphs import catalog
-from conekit.linalg import inner
+from conekit.linalg import DimensionMismatch, inner
 from conekit.pairwise import copcp_form_value, pair_form
 
 
@@ -21,6 +21,10 @@ def random_pair(rng, n):
     A[np.diag_indices(n)] = d
     B = B - np.diag(np.diag(B)) + np.diag(d)
     return pair_form(A, B)
+
+
+def test_dimension_mismatch_is_the_linalg_class():
+    assert qt.DimensionMismatch is DimensionMismatch
 
 
 # ---------------------------------------------------------------------------
