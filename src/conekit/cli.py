@@ -340,10 +340,13 @@ def _verify_sigma_certificate(G: graphs.Graph, res, tol: Tolerance) -> dict:
         _check(rep, "X_nonneg", float(np.min(X)) >= -1e2 * tol.feas_tol)
         _check(rep, "X_psd", min_eig(X) >= -1e3 * tol.eig_tol)
         _check(rep, "X_normalized", abs(inner(A, X) - 1.0) <= 1e3 * tol.feas_tol)
+        # the split bounds sigma from below only loosely (any smaller value
+        # also splits), so <J, X> must pin the value itself
         _check(
             rep,
             "X_value",
-            abs(float(np.sum(X)) - res.value) <= 1e4 * tol.feas_tol * n,
+            abs(float(np.sum(X)) - res.value)
+            <= 1e2 * tol.feas_tol * (1.0 + abs(res.value)),
         )
     if "coloring" in cert and "clique" in cert:
         # exact combinatorial re-check: a k-clique and a proper colouring

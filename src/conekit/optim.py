@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve
 from scipy.optimize import linprog
 
 from .linalg import DimensionMismatch, Tolerance, symmetrize
@@ -153,6 +153,9 @@ class SdpSolution:
     iterations: int
     residuals: dict
     certificate: Optional[dict] = None
+    # how the solve went: "polish" is "not_run", "skipped_size", "rejected"
+    # or "accepted"; "m", "N" and "blocks" ([kind, dim] each) give its size
+    stats: dict = field(default_factory=dict)
 
     def block(self, ref: BlockRef):
         if ref.kind == "free":
@@ -296,13 +299,14 @@ class _Scaling:
     """Nesterov-Todd scaling point for one block.
 
     For psd/hpsd blocks stores G with W = G G^H and Gi with W^{-1} = Gi Gi^H
-    (so G^{-1} = Gi^H), plus the scaled spectrum sig with V = G^H S G =
-    diag(sig).  For nn blocks stores the vector w2 = x/s.
+    (so G^{-1} = Gi^H), plus the scaled spectrum sig with Gi^H X Gi =
+    G^H S G = diag(sig).  For nn blocks stores x, s and the vector w2 = x/s.
     """
 
     def __init__(self, blk: _Block, X, S):
         self.blk = blk
         if blk.kind == "nn":
+            self.x, self.s = X, S
             self.w2 = X / S
             return
         L = np.linalg.cholesky(X)
@@ -328,27 +332,31 @@ class _Scaling:
         Gh = G.conj().T
         return np.matmul(G, np.matmul(np.matmul(Gh, np.matmul(stack, G)), Gh))
 
-    def step_to_boundary(self, M, dM) -> float:
-        """Largest alpha with M + alpha dM in the cone (M interior)."""
+    def xinv(self):
+        """X^{-1} = Gi diag(1/sig) Gi^H, or 1/x for nn blocks."""
         if self.blk.kind == "nn":
-            neg = dM < 0
-            if not np.any(neg):
-                return np.inf
-            return float(np.min(-M[neg] / dM[neg]))
-        L = np.linalg.cholesky(M)
-        Y = solve_triangular(L, dM, lower=True)
-        Y = solve_triangular(L, Y.conj().T, lower=True)
-        lam = float(np.linalg.eigvalsh(symmetrize(Y))[0])
-        if lam >= 0:
-            return np.inf
-        return -1.0 / lam
+            return 1.0 / self.x
+        Q = self.Gi / np.sqrt(self.sig)
+        return Q @ Q.conj().T
 
+    def max_step(self, dX, dS) -> float:
+        """Largest alpha with X + alpha dX and S + alpha dS in the cone.
 
-def _step_nn(x, dx) -> float:
-    neg = dx < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-x[neg] / dx[neg]))
+        With D = diag(sig), X + alpha dX is in the cone exactly when
+        I + alpha D^{-1/2} Gi^H dX Gi D^{-1/2} is (and S likewise with G),
+        so the step is read off the smallest eigenvalue of the NT-scaled
+        directions without factoring X or S again (SDPT3).  For nn blocks
+        the scaled directions are dx/x and ds/s.
+        """
+        if self.blk.kind == "nn":
+            lam = min(float(np.min(dX / self.x)), float(np.min(dS / self.s)))
+        else:
+            isq = 1.0 / np.sqrt(self.sig)
+            lam = np.inf
+            for Q, dM in ((self.Gi * isq, dX), (self.G * isq, dS)):
+                Y = Q.conj().T @ dM @ Q
+                lam = min(lam, float(np.linalg.eigvalsh(symmetrize(Y))[0]))
+        return np.inf if lam >= 0 else -1.0 / lam
 
 
 def _resolve_tol(tol) -> float:
@@ -411,6 +419,12 @@ def _relgap(w, rank):
     return (w[d - rank] - w[d - rank - 1]) / max(w[-1], 1e-300)
 
 
+def _split_lstsq(Ap, bp, Ad, bd):
+    """Minimum-norm least-squares solution of diag(Ap, Ad) z = (bp, bd)."""
+    return np.concatenate([np.linalg.lstsq(Ap, bp, rcond=None)[0],
+                           np.linalg.lstsq(Ad, bd, rcond=None)[0]])
+
+
 def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
     """Refine an optimal iterate on its detected optimal face.
 
@@ -418,14 +432,22 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
     much larger than their residuals suggest.  This identifies the active
     eigenspaces (taking the primal range from the dual slack's null space,
     which is usually the better-conditioned source) and the active supports,
-    then solves one joint least-squares problem enforcing primal and dual
-    feasibility restricted to that face.  The result is accepted only if its
+    then solves the least-squares problem enforcing primal and dual
+    feasibility restricted to that face.  That system is block-diagonal
+    (primal face, nn-support and free columns meet only the m equality
+    rows; y, dual face and dual nn columns only the dual rows), so its two
+    halves are solved separately.  The result is accepted only if its
     recomputed residuals and cone feasibility beat the incoming iterate.
+
+    Returns (outcome, result): outcome is "accepted", "rejected" or
+    "skipped_size" (the joint system is too large to solve), and result is
+    (x, s, u, y, pres, dres, gap) when accepted, else None.
     """
     m, total = A.shape
     kf = F.shape[1]
     rows_n = m + total + kf
     best = None
+    skipped = False
     x_cur, u_cur, y_cur = x, u, y
     for _ in range(2):
         s_imp = c - A.T @ y_cur
@@ -435,7 +457,8 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
         dual = []
         nn_act = {}
         nn_dual = {}
-        ncols = kf + m
+        ncols_p = kf  # primal half: faces, pnn, u
+        ncols_d = m  # dual half: y, dual faces, dnn
         for i, blk in enumerate(blocks):
             xb = x_cur[sl[i]]
             sb = s_imp[sl[i]]
@@ -443,7 +466,8 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
                 act = xb > sb
                 nn_act[i] = np.where(act)[0]
                 nn_dual[i] = np.where(~act)[0]
-                ncols += len(nn_act[i]) + len(nn_dual[i])
+                ncols_p += len(nn_act[i])
+                ncols_d += len(nn_dual[i])
                 continue
             Xb = blk.smat(xb)
             Sb = blk.smat(sb)
@@ -477,46 +501,39 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
             cV, pV = _face_columns(blk, V)
             prim.append((i, cU, pU, U))
             dual.append((i, cV, pV, V))
-            ncols += cU.shape[1] + cV.shape[1]
-        if rows_n * ncols > 4.0e7:
-            return best
-        Asys = np.zeros((rows_n, ncols))
-        bsys = np.concatenate([b, c, c_f])
-        col = 0
+            ncols_p += cU.shape[1]
+            ncols_d += cV.shape[1]
+        if rows_n * (ncols_p + ncols_d) > 4.0e7:
+            skipped = True
+            break
+        Ap = np.zeros((m, ncols_p))
+        Ad = np.zeros((total + kf, ncols_d))
         spans = {}
+        col = 0
         for i, cU, pU, U in prim:
             nMi = cU.shape[1]
-            Asys[:m, col : col + nMi] = A[:, sl[i]] @ cU
+            Ap[:, col : col + nMi] = A[:, sl[i]] @ cU
             spans[("P", i)] = (col, nMi)
             col += nMi
         for i, idxs in nn_act.items():
-            base = sl[i].start
-            for t_, fi in enumerate(idxs):
-                Asys[:m, col + t_] = A[:, base + fi]
+            Ap[:, col : col + len(idxs)] = A[:, sl[i].start + idxs]
             spans[("pnn", i)] = (col, len(idxs))
             col += len(idxs)
-        if kf:
-            Asys[:m, col : col + kf] = F
-            spans["u"] = (col, kf)
-            col += kf
-        else:
-            spans["u"] = (col, 0)
-        Asys[m : m + total, col : col + m] = A.T
-        Asys[m + total :, col : col + m] = F.T
-        spans["y"] = (col, m)
-        col += m
+        Ap[:, col:] = F
+        # dual columns follow the primal ones in params, y first
+        Ad[:total, :m] = A.T
+        Ad[total:, :m] = F.T
+        col = m
         for i, cV, pV, V in dual:
             nNi = cV.shape[1]
-            Asys[m + sl[i].start : m + sl[i].stop, col : col + nNi] = cV
-            spans[("D", i)] = (col, nNi)
+            Ad[sl[i], col : col + nNi] = cV
+            spans[("D", i)] = (ncols_p + col, nNi)
             col += nNi
         for i, idxs in nn_dual.items():
-            base = m + sl[i].start
-            for t_, fi in enumerate(idxs):
-                Asys[base + fi, col + t_] = 1.0
-            spans[("dnn", i)] = (col, len(idxs))
+            Ad[sl[i].start + idxs, col + np.arange(len(idxs))] = 1.0
+            spans[("dnn", i)] = (ncols_p + col, len(idxs))
             col += len(idxs)
-        params, *_ = np.linalg.lstsq(Asys, bsys, rcond=None)
+        params = _split_lstsq(Ap, b, Ad, np.concatenate([c, c_f]))
 
         x2 = np.zeros(total)
         s2 = np.zeros(total)
@@ -549,10 +566,8 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
             if ni and float(np.min(vals)) < -1e-8 * sinf:
                 feas_ok = False
             s2[np.asarray(sl[i].start + idxs, dtype=int)] = vals
-        c0, _ku = spans["u"]
-        u2 = params[c0 : c0 + kf]
-        c0, _ky = spans["y"]
-        y2 = params[c0 : c0 + m]
+        u2 = params[ncols_p - kf : ncols_p]
+        y2 = params[ncols_p : ncols_p + m]
 
         pres2 = float(np.linalg.norm(A @ x2 + F @ u2 - b)) / bnorm
         dres2 = (
@@ -570,8 +585,8 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
         else:
             break
     if best is None:
-        return None
-    return best[:7]
+        return ("skipped_size" if skipped else "rejected"), None
+    return "accepted", best[:7]
 
 
 def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
@@ -586,16 +601,13 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
     nb = len(blocks)
     sl = [slice(offsets[i], offsets[i + 1]) for i in range(nb)]
 
-    # constraint/objective data as matrices, per block
+    # constraint data as matrices, per block
     Amats = []
-    Cmats = []
     for i, blk in enumerate(blocks):
         if blk.kind == "nn":
             Amats.append(A[:, sl[i]])
-            Cmats.append(c[sl[i]])
         else:
             Amats.append(np.stack([blk.smat(A[j, sl[i]]) for j in range(m)]))
-            Cmats.append(blk.smat(c[sl[i]]))
 
     nu = sum(blk.nu for blk in blocks)
     bnorm = 1.0 + float(np.linalg.norm(b))
@@ -690,16 +702,15 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             break  # lost interiority; report stalled with best iterate
         WAW_rows = np.zeros((m, N))
         for i, blk in enumerate(blocks):
-            if blk.kind == "nn":
-                WAW_rows[:, sl[i]] = Amats[i] * scal[i].w2[None, :]
-            else:
-                WAW_rows[:, sl[i]] = blk.svec_batch(scal[i].apply_batch(Amats[i]))
+            WAW_rows[:, sl[i]] = blk.svec_batch(scal[i].apply_batch(Amats[i]))
         Mschur = A @ WAW_rows.T
         Mschur = 0.5 * (Mschur + Mschur.T)
         jitter = 0.0
         base = np.trace(Mschur) / m if m else 1.0
         for _ in range(8):
             try:
+                # numpy's LAPACK, not scipy's: the two ship separate
+                # OpenBLAS builds whose thread pools contend on few cores
                 Lm = np.linalg.cholesky(
                     Mschur + (jitter * np.eye(m) if jitter else 0.0)
                 )
@@ -710,16 +721,12 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             break
 
         def msolve(r):
-            z = solve_triangular(Lm, r, lower=True)
-            return solve_triangular(Lm, z, lower=True, trans="T")
+            return cho_solve((Lm, True), r, check_finite=False)
 
         def wop(vec):
             out = np.empty(N)
             for i, blk in enumerate(blocks):
-                if blk.kind == "nn":
-                    out[sl[i]] = scal[i].w2 * vec[sl[i]]
-                else:
-                    out[sl[i]] = blk.svec(scal[i].apply(blk.smat(vec[sl[i]])))
+                out[sl[i]] = blk.svec(scal[i].apply(blk.smat(vec[sl[i]])))
             return out
 
         Wc = wop(c)
@@ -728,12 +735,9 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
         Mihb = msolve(h + b)
         cWc = c @ Wc
 
-        xinv = np.empty(N)
-        for i, blk in enumerate(blocks):
-            if blk.kind == "nn":
-                xinv[sl[i]] = 1.0 / x[sl[i]]
-            else:
-                xinv[sl[i]] = blk.svec(np.linalg.inv(Xm[i]))
+        xinv = np.concatenate(
+            [blocks[i].svec(sc.xinv()) for i, sc in enumerate(scal)]
+        )
 
         qq = cWc + kappa / tau
         S2 = np.empty((k + 1, k + 1))
@@ -810,16 +814,9 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             return dx, dy, du, dtau, ds, dkappa
 
         def max_step(dx, ds, dtau, dkappa):
-            alpha = np.inf
             dXm = mats_of(dx)
             dSm = mats_of(ds)
-            for i, blk in enumerate(blocks):
-                if blk.kind == "nn":
-                    alpha = min(alpha, _step_nn(x[sl[i]], dx[sl[i]]))
-                    alpha = min(alpha, _step_nn(s[sl[i]], ds[sl[i]]))
-                else:
-                    alpha = min(alpha, scal[i].step_to_boundary(Xm[i], dXm[i]))
-                    alpha = min(alpha, scal[i].step_to_boundary(Sm[i], dSm[i]))
+            alpha = min(sc.max_step(dXm[i], dSm[i]) for i, sc in enumerate(scal))
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:
@@ -919,9 +916,10 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
 
     t = tau if tau > 0 else 1.0
     xs, ss, us, ys = x / t, s / t, u / t, y / t
+    polish = "not_run"
     if status is SdpStatus.OPTIMAL:
-        pol = _polish(blocks, sl, A, F, b, c, c_f, xs, us, ys,
-                      max(pres, dres, gap), bnorm, cnorm)
+        polish, pol = _polish(blocks, sl, A, F, b, c, c_f, xs, us, ys,
+                              max(pres, dres, gap), bnorm, cnorm)
         if pol is not None:
             xs, ss, us, ys, pres, dres, gap = pol
     sol = SdpSolution(
@@ -941,6 +939,8 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             "kappa": float(kappa),
         },
         certificate=certificate,
+        stats={"polish": polish, "m": m, "N": N,
+               "blocks": [[blk.kind, blk.d] for blk in blocks]},
     )
     return sol
 

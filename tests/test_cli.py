@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from conekit.cli import main
+from conekit import graphs
+from conekit.cli import _verify_sigma_certificate, main
 from conekit.cones import berman_matrix, horn_matrix
+from conekit.linalg import Tolerance
 
 
 def write_matrix(path, M):
@@ -224,6 +227,25 @@ def test_sigma_coloring_route_verifies(capsys):
     assert rep["result"]["value"] == 1.5
     assert rep["verify"]["ok"]
     assert rep["verify"]["coloring_proper"] and rep["verify"]["clique_complete"]
+
+
+def test_sigma_checker_rejects_understated_value():
+    # any t below sigma splits (the excess t A moves into E), so only the
+    # dual witness's <J, X> can pin the reported value
+    G = graphs.catalog("petersen")
+    res = graphs.sigma(G)
+    assert _verify_sigma_certificate(G, res, Tolerance())["ok"]
+    delta = 0.009
+    forged = dataclasses.replace(
+        res,
+        value=res.value - delta,
+        certificate={**res.certificate,
+                     "E": res.certificate["E"] + delta * G.adjacency},
+    )
+    rep = _verify_sigma_certificate(G, forged, Tolerance())
+    assert rep["split_residual"] and rep["E_nonneg"]
+    assert rep["X_value"] is False
+    assert rep["ok"] is False
 
 
 def test_sigma_inline_graph6_pentagon(capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, solve_triangular
 
+from conekit import cones, optim
 from conekit.linalg import Tolerance
 from conekit.optim import (
     SdpProblem,
@@ -196,6 +198,116 @@ def test_tolerance_argument():
     sol = solve_sdp(p, tol=Tolerance())
     assert sol.status is SdpStatus.OPTIMAL
     assert abs(-sol.primal_obj + 3.0) < 1e-7
+
+
+def _cholesky_step(M, dM):
+    """Reference step length: largest alpha with M + alpha dM psd, from the
+    Cholesky factor of M."""
+    L = np.linalg.cholesky(M)
+    Y = solve_triangular(L, dM, lower=True)
+    Y = solve_triangular(L, Y.conj().T, lower=True)
+    lam = float(np.linalg.eigvalsh(0.5 * (Y + Y.conj().T))[0])
+    return np.inf if lam >= 0 else -1.0 / lam
+
+
+def _random_herm(rng, d, kind):
+    M = rng.standard_normal((d, d))
+    if kind == "hpsd":
+        M = M + 1j * rng.standard_normal((d, d))
+    return 0.5 * (M + M.conj().T)
+
+
+@pytest.mark.parametrize("kind", ["psd", "hpsd"])
+def test_step_length_matches_cholesky_formula(kind):
+    rng = np.random.default_rng(17)
+    for d in (1, 3, 6, 10):
+        for _ in range(5):
+            B = _random_herm(rng, d, kind)
+            X = B @ B.conj().T + 0.1 * np.eye(d)
+            B = _random_herm(rng, d, kind)
+            S = B @ B.conj().T + 0.1 * np.eye(d)
+            sc = optim._Scaling(optim._Block(kind, d), X, S)
+            dX = _random_herm(rng, d, kind)
+            dS = _random_herm(rng, d, kind)
+            ref = min(_cholesky_step(X, dX), _cholesky_step(S, dS))
+            assert sc.max_step(dX, dS) == pytest.approx(ref, rel=1e-10)
+            # each side alone: the other direction is psd, so never binds
+            P = B @ B.conj().T
+            assert sc.max_step(dX, P) == pytest.approx(
+                _cholesky_step(X, dX), rel=1e-10
+            )
+            assert sc.max_step(P, dS) == pytest.approx(
+                _cholesky_step(S, dS), rel=1e-10
+            )
+            assert sc.max_step(P, P + np.eye(d)) == np.inf
+            np.testing.assert_allclose(sc.xinv(), np.linalg.inv(X),
+                                       rtol=1e-8, atol=1e-10)
+
+
+def test_step_length_nn_ratio_test():
+    x = np.array([1.0, 2.0, 0.5])
+    s = np.array([0.3, 1.0, 4.0])
+    sc = optim._Scaling(optim._Block("nn", 3), x, s)
+    assert sc.max_step(np.array([-2.0, 1.0, -0.1]), np.zeros(3)) == 0.5
+    assert sc.max_step(np.ones(3), np.array([1.0, -4.0, 0.0])) == 0.25
+    assert sc.max_step(np.ones(3), np.zeros(3)) == np.inf
+
+
+def _polish_run(monkeypatch, M, r, lstsq):
+    """is_kr with the polish's least-squares solve replaced by lstsq;
+    returns the solve's polish outcome and the first polish parameters."""
+    calls = []
+
+    def recording(Ap, bp, Ad, bd):
+        out = lstsq(Ap, bp, Ad, bd)
+        calls.append(out)
+        return out
+
+    sols = []
+
+    def spy(prob, tol=None):
+        sol = solve_sdp(prob, tol)
+        sols.append(sol)
+        return sol
+
+    monkeypatch.setattr(optim, "_split_lstsq", recording)
+    monkeypatch.setattr(cones, "solve_sdp", spy)
+    cones.is_kr(M, r)
+    assert len(sols) == 1 and calls
+    return sols[0].stats["polish"], calls[0]
+
+
+def _joint_lstsq(Ap, bp, Ad, bd):
+    A = block_diag(Ap, Ad)
+    return np.linalg.lstsq(A, np.concatenate([bp, bd]), rcond=None)[0]
+
+
+@pytest.mark.parametrize(
+    "M, outcome",
+    [(cones.horn_matrix(), "rejected"), (np.eye(5) + np.ones((5, 5)), "accepted")],
+    ids=["horn", "identity-plus-ones"],
+)
+def test_split_polish_matches_joint_lstsq(monkeypatch, M, outcome):
+    split = _polish_run(monkeypatch, M, 1, optim._split_lstsq)
+    joint = _polish_run(monkeypatch, M, 1, _joint_lstsq)
+    assert split[0] == joint[0] == outcome
+    assert np.linalg.norm(split[1] - joint[1]) <= 1e-6 * np.linalg.norm(joint[1])
+
+
+def test_solution_stats():
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((4, 4))
+    p, _ = min_eig_problem(M + M.T)
+    sol = solve_sdp(p)
+    assert sol.optimal
+    assert sol.stats["polish"] in ("accepted", "rejected")
+    assert sol.stats["m"] == 10 and sol.stats["N"] == 10
+    assert sol.stats["blocks"] == [["psd", 4]]
+    p = SdpProblem()
+    X = p.add_psd(3)
+    p.add_eq(1.0, (X, np.eye(3)))
+    p.add_eq(-2.0, (X, np.diag([1.0, 1.0, 2.0])))
+    assert solve_sdp(p).stats["polish"] == "not_run"
 
 
 # -- LP front end -----------------------------------------------------------
