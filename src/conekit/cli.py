@@ -272,11 +272,16 @@ def _verify_cone_verdict(v, M, tol: Tolerance) -> dict:
             _check(rep, "gram", cones.verify_gram(n, r, M, cert, tol))
         else:
             _check(rep, "pairing_negative", cert["pairing"] < 0)
+            _check(rep, "normalization_positive", cert["normalization"] > 0)
             mb = cert["moment_blocks"]
             worst = min(
                 (min_eig(b) for b in mb["blocks"]), default=0.0
             )
             _check(rep, "moment_blocks_psd", worst >= -1e3 * tol.eig_tol * scale)
+            singles = np.asarray(mb["singles"], dtype=float)
+            if singles.size:
+                _check(rep, "moment_singles_nonneg",
+                       float(np.min(singles)) >= -tol.feas_tol * scale)
     elif v.cone.endswith("*"):
         r = v.level
         if v.status is Verdict.MEMBER:

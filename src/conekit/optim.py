@@ -15,6 +15,17 @@ programs built on top of this module.  The homogeneous embedding makes
 infeasibility detection a first-class outcome: the solver returns Farkas
 rays rather than just failing to converge.
 
+Blocks are stored by shape.  `SdpProblem.compile` lays the columns out
+group by group: the blocks of one (kind, d) take consecutive columns, so
+each group is a contiguous slice of the global svec vector that reshapes to
+a (g, d, d) stack, and all nn blocks form one group.  The interior-point
+loop works on whole groups (the NT scaling, W X W, the step length and the
+corrector are one stacked numpy call per group, broadcasting over the
+stack), and the Schur rows come from one stack per group holding the
+group's nonzero constraint blocks.  Per-block matrices appear only where
+data enters (`add_eq`, `set_cost`) or leaves (`SdpSolution.blocks` and
+`slacks`, in declaration order, and the polish step).
+
 LPs are delegated to scipy's HiGHS interface.
 """
 
@@ -23,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from time import perf_counter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,82 +75,128 @@ class BlockRef:
 
 
 class _Block:
-    """Vectorization helpers for one cone block."""
+    """Vectorization helpers for one cone shape (kind, d).
+
+    svec and smat act on the trailing axes, so one call converts a single
+    block or a whole stack (..., d, d) <-> (..., size) of blocks of this
+    shape.  Both are one gather through index tables over the flattened
+    matrix (its float view for hpsd, real and imaginary parts interleaved).
+    """
 
     def __init__(self, kind: str, d: int):
         self.kind = kind
         self.d = d
-        if kind == "psd":
-            self.size = d * (d + 1) // 2
-            iu = np.triu_indices(d)
-            self._iu = iu
-            w = np.where(iu[0] == iu[1], 1.0, _SQRT2)
-            self._w = w
-        elif kind == "hpsd":
-            self.size = d * d
-            self._di = np.arange(d)
-            self._iu = np.triu_indices(d, 1)
-        elif kind == "nn":
+        if kind == "nn":
             self.size = d
-        else:
+            return
+        if kind not in ("psd", "hpsd"):
             raise ValueError(f"unknown block kind {kind!r}")
+        i, j = np.triu_indices(d, 0 if kind == "psd" else 1)
+        up, lo = i * d + j, j * d + i  # flat positions of (i, j) and (j, i)
+        # svec entry e reads flat slots P[e] and Q[e] (the mirrored entry,
+        # signed by S for imaginary parts) and scales by W[e]
+        if kind == "psd":
+            self.size = len(i)
+            self._P, self._Q = up, lo
+            self._S = np.ones(self.size)
+            self._W = np.where(i == j, 1.0, _SQRT2)
+            # smat: flat slot t is svec entry R[t] divided by W[R[t]]
+            tri = np.zeros((d, d), dtype=int)
+            tri[i, j] = tri[j, i] = np.arange(self.size)
+            self._R = tri.ravel()
+            self._Rw = self._W[self._R]
+        else:
+            k = len(i)
+            dg = np.arange(d) * (d + 1)
+            self.size = d + 2 * k
+            self._P = np.concatenate([2 * dg, 2 * up, 2 * up + 1])
+            self._Q = np.concatenate([2 * dg, 2 * lo, 2 * lo + 1])
+            self._S = np.concatenate([np.ones(d + k), -np.ones(k)])
+            self._W = np.concatenate([np.ones(d), np.full(2 * k, _SQRT2)])
+            # smat: float slot t is svec entry R[t] times Rw[t] (a zero
+            # imaginary part on the diagonal)
+            R = np.zeros(2 * d * d, dtype=int)
+            Rw = np.zeros(2 * d * d)
+            R[2 * dg] = np.arange(d)
+            Rw[2 * dg] = 1.0
+            off = np.arange(d, d + k)
+            for slot, ent, sgn in ((2 * up, off, 1.0), (2 * lo, off, 1.0),
+                                   (2 * up + 1, off + k, 1.0),
+                                   (2 * lo + 1, off + k, -1.0)):
+                R[slot] = ent
+                Rw[slot] = sgn / _SQRT2
+            self._R, self._Rw = R, Rw
+        self._Wh = 0.5 * self._W
 
     # barrier parameter
     @property
     def nu(self) -> int:
         return self.d
 
+    def _flat(self, M) -> np.ndarray:
+        """The stack M as (..., d*d) floats (hpsd: interleaved re/im)."""
+        M = np.asarray(M, dtype=complex) if self.kind == "hpsd" else np.real(M)
+        if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+            raise DimensionMismatch(f"expected square matrices, got shape {M.shape}")
+        flat = np.ascontiguousarray(M).reshape(M.shape[:-2] + (-1,))
+        return flat.view(float) if self.kind == "hpsd" else flat
+
     def svec(self, M) -> np.ndarray:
+        """svec of the hermitian part of M (of each matrix of a stack); an nn
+        block takes one vector of length d."""
         if self.kind == "nn":
             return np.asarray(M, dtype=float).reshape(self.d).copy()
-        A = symmetrize(np.asarray(M))
-        if self.kind == "psd":
-            return np.real(A)[self._iu] * self._w
-        out = np.empty(self.size)
-        d = self.d
-        out[:d] = np.real(np.diagonal(A))
-        upper = A[self._iu]
-        k = upper.shape[0]
-        out[d : d + k] = _SQRT2 * np.real(upper)
-        out[d + k :] = _SQRT2 * np.imag(upper)
-        return out
+        f = self._flat(M)
+        return (f[..., self._P] + f[..., self._Q] * self._S) * self._Wh
 
-    def svec_batch(self, stack: np.ndarray) -> np.ndarray:
-        """svec of an (m, d, d) stack of (already symmetric) matrices."""
-        if self.kind == "nn":
-            return np.asarray(stack, dtype=float)
-        if self.kind == "psd":
-            return np.real(stack[:, self._iu[0], self._iu[1]]) * self._w
-        d = self.d
-        m = stack.shape[0]
-        out = np.empty((m, self.size))
-        out[:, :d] = np.real(stack[:, self._di, self._di])
-        upper = stack[:, self._iu[0], self._iu[1]]
-        k = upper.shape[1]
-        out[:, d : d + k] = _SQRT2 * np.real(upper)
-        out[:, d + k :] = _SQRT2 * np.imag(upper)
-        return out
+    def svec_upper(self, M) -> np.ndarray:
+        """svec of a stack of hermitian matrices read off their upper
+        triangles alone (no averaging with the lower ones)."""
+        return self._flat(M)[..., self._P] * self._W
 
-    def smat(self, v: np.ndarray):
+    def smat(self, v):
+        """Inverse of svec, also on a stack (..., size)."""
         if self.kind == "nn":
-            return np.asarray(v, dtype=float).copy()
+            return np.array(v, dtype=float)
         d = self.d
         if self.kind == "psd":
-            out = np.zeros((d, d))
-            out[self._iu] = v / self._w
-            return out + out.T - np.diag(np.diag(out))
-        k = (self.size - d) // 2
-        upper = (v[d : d + k] + 1j * v[d + k :]) / _SQRT2
-        out = np.zeros((d, d), dtype=complex)
-        out[self._iu] = upper
-        out = out + out.conj().T
-        out[self._di, self._di] = v[:d]
-        return out
+            return (v[..., self._R] / self._Rw).reshape(v.shape[:-1] + (d, d))
+        flat = np.ascontiguousarray(v[..., self._R] * self._Rw)
+        return flat.view(complex).reshape(v.shape[:-1] + (d, d))
 
     def identity_vec(self) -> np.ndarray:
         if self.kind == "nn":
             return np.ones(self.d)
         return self.svec(np.eye(self.d))
+
+
+class _Group:
+    """The g blocks of one shape, stored as one stack.
+
+    Their svec entries fill the contiguous columns sl of the compiled
+    problem, block after block in declaration order, so the group's stack is
+    a reshape of that slice.  All nn blocks of a problem form one group: an
+    nn block of their total length.
+    """
+
+    def __init__(self, blk: _Block, start: int, g: int):
+        self.blk = blk
+        self.g = g
+        self.sl = slice(start, start + g * blk.size)
+
+    def mats(self, v) -> np.ndarray:
+        """The group's blocks of the global vector(s) v (..., N) as a
+        (..., g, d, d) stack; for nn the (..., n) segment itself."""
+        seg = v[..., self.sl]
+        if self.blk.kind == "nn":
+            return seg
+        return self.blk.smat(seg.reshape(seg.shape[:-1] + (self.g, self.blk.size)))
+
+    def vec(self, M) -> np.ndarray:
+        """Inverse of mats: the group's segment (..., g * size) of svec."""
+        if self.blk.kind == "nn":
+            return M
+        return self.blk.svec(M).reshape(M.shape[:-3] + (-1,))
 
 
 @dataclass
@@ -154,7 +212,10 @@ class SdpSolution:
     residuals: dict
     certificate: Optional[dict] = None
     # how the solve went: "polish" is "not_run", "skipped_size", "rejected"
-    # or "accepted"; "m", "N" and "blocks" ([kind, dim] each) give its size
+    # or "accepted"; "m", "N" and "blocks" ([kind, dim] each) give its size;
+    # "time" holds seconds per phase ("scaling", "schur" build and factor,
+    # "newton" solves with refinement, "step", "corrector", "polish"), and
+    # "iters", "refine_rounds" (total) and "jitter" (largest used) the rest
     stats: dict = field(default_factory=dict)
 
     def block(self, ref: BlockRef):
@@ -180,6 +241,7 @@ class SdpProblem:
 
     def __init__(self):
         self._blocks: list[_Block] = []
+        self._shapes: dict = {}  # one _Block (and its index tables) per shape
         self._refs: list[BlockRef] = []
         self._free_dim = 0
         self._cost: dict[int, np.ndarray] = {}
@@ -191,7 +253,9 @@ class SdpProblem:
     def _add_block(self, kind: str, d: int, label) -> BlockRef:
         if d <= 0:
             raise ValueError("block dimension must be positive")
-        blk = _Block(kind, d)
+        blk = self._shapes.get((kind, d))
+        if blk is None:
+            blk = self._shapes[(kind, d)] = _Block(kind, d)
         ref = BlockRef(len(self._blocks), kind, d, label)
         self._blocks.append(blk)
         self._refs.append(ref)
@@ -264,14 +328,35 @@ class SdpProblem:
         return sum(b.size for b in self._blocks) + self._free_dim
 
     def compile(self):
+        """Dense problem data, with the columns laid out group by group.
+
+        Blocks of one shape (all nn blocks counting as one shape) take
+        consecutive columns in declaration order, groups in order of first
+        declaration.  Returns (blocks, sl, groups, A, F, b, c, c_f) where
+        sl[i] is the column slice of block i and groups are the _Group
+        stacks, in column order.
+        """
         m = len(self._rows)
         if m == 0:
             raise ValueError("problem has no constraint rows")
         if not self._blocks:
             raise ValueError("problem has no cone blocks")
-        sizes = [b.size for b in self._blocks]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        N = int(offsets[-1])
+        members: dict = {}
+        for i, blk in enumerate(self._blocks):
+            key = ("nn", 0) if blk.kind == "nn" else (blk.kind, blk.d)
+            members.setdefault(key, []).append(i)
+        sl = [slice(0)] * len(self._blocks)
+        groups = []
+        N = 0
+        for (kind, _), idxs in members.items():
+            start = N
+            for i in idxs:
+                sl[i] = slice(N, N + self._blocks[i].size)
+                N += self._blocks[i].size
+            if kind == "nn":
+                groups.append(_Group(_Block("nn", N - start), start, 1))
+            else:
+                groups.append(_Group(self._blocks[idxs[0]], start, len(idxs)))
         A = np.zeros((m, N))
         F = np.zeros((m, self._free_dim))
         for i, row in enumerate(self._rows):
@@ -280,64 +365,72 @@ class SdpProblem:
                     for j, coef in v.items():
                         F[i, j] = coef
                 else:
-                    A[i, offsets[bi] : offsets[bi] + sizes[bi]] = v
+                    A[i, sl[bi]] = v
         b = np.array(self._rhs)
         c = np.zeros(N)
         for bi, v in self._cost.items():
-            c[offsets[bi] : offsets[bi] + sizes[bi]] = v
+            c[sl[bi]] = v
         c_f = np.zeros(self._free_dim)
         for j, coef in self._free_cost.items():
             c_f[j] = coef
-        return self._blocks, offsets, A, F, b, c, c_f
+        return self._blocks, sl, groups, A, F, b, c, c_f
 
 
 # ---------------------------------------------------------------------------
 # interior-point machinery
 
 
-class _Scaling:
-    """Nesterov-Todd scaling point for one block.
+def _ct(M):
+    """Conjugate transpose of each matrix of a stack, C-contiguous (numpy's
+    stacked matmul is slower on transposed views)."""
+    return np.conjugate(M.swapaxes(-1, -2), order="C")
 
-    For psd/hpsd blocks stores G with W = G G^H and Gi with W^{-1} = Gi Gi^H
-    (so G^{-1} = Gi^H), plus the scaled spectrum sig with Gi^H X Gi =
-    G^H S G = diag(sig).  For nn blocks stores x, s and the vector w2 = x/s.
+
+class _Scaling:
+    """Nesterov-Todd scaling points of one group, stacked over its blocks.
+
+    For a psd/hpsd group stores G with W = G G^H and Gi with W^{-1} = Gi Gi^H
+    (so G^{-1} = Gi^H), plus the scaled spectra sig with Gi^H X Gi =
+    G^H S G = diag(sig), as (g, d, d) and (g, d) stacks.  For the nn group
+    stores x, s and the vector w2 = x/s.  Every method takes and returns
+    stacks of the group's shape and broadcasts over extra leading axes.
     """
 
-    def __init__(self, blk: _Block, X, S):
-        self.blk = blk
-        if blk.kind == "nn":
+    def __init__(self, kind: str, X, S):
+        self.nn = kind == "nn"
+        if self.nn:
             self.x, self.s = X, S
             self.w2 = X / S
             return
         L = np.linalg.cholesky(X)
         R = np.linalg.cholesky(S)
-        U, sig, Vh = np.linalg.svd(R.conj().T @ L)
-        isq = 1.0 / np.sqrt(sig)
-        self.G = L @ (Vh.conj().T * isq)
+        U, sig, Vh = np.linalg.svd(_ct(R) @ L)
+        isq = 1.0 / np.sqrt(sig)[..., None, :]
+        self.G = L @ (_ct(Vh) * isq)
+        self.Gh = _ct(self.G)
         self.Gi = R @ (U * isq)
+        self.Gih = _ct(self.Gi)
         self.sig = sig
+        # D^{-1/2}-scaled factors for the step length
+        self._QX, self._QS = self.Gi * isq, self.G * isq
+        self._QXh, self._QSh = _ct(self._QX), _ct(self._QS)
 
-    def apply(self, Z):
-        """W Z W for a symmetric matrix / vector in block space."""
-        if self.blk.kind == "nn":
+    def apply(self, Z, at=None):
+        """W Z W for symmetric matrices Z (vectors for the nn group).  With
+        an index array at, Z[k] is a matrix of block at[k] of the group."""
+        if self.nn:
             return self.w2 * Z
-        G = self.G
-        Gh = G.conj().T
-        return G @ (Gh @ Z @ G) @ Gh
-
-    def apply_batch(self, stack):
-        if self.blk.kind == "nn":
-            return stack * self.w2[None, :]
-        G = self.G
-        Gh = G.conj().T
-        return np.matmul(G, np.matmul(np.matmul(Gh, np.matmul(stack, G)), Gh))
+        G, Gh = self.G, self.Gh
+        if at is not None and len(G) > 1:  # one block broadcasts, uncopied
+            G, Gh = G[at], Gh[at]
+        return G @ (Gh @ (Z @ G) @ Gh)
 
     def xinv(self):
-        """X^{-1} = Gi diag(1/sig) Gi^H, or 1/x for nn blocks."""
-        if self.blk.kind == "nn":
+        """X^{-1} = Gi diag(1/sig) Gi^H, or 1/x for the nn group."""
+        if self.nn:
             return 1.0 / self.x
-        Q = self.Gi / np.sqrt(self.sig)
-        return Q @ Q.conj().T
+        Q = self.Gi / np.sqrt(self.sig)[..., None, :]
+        return Q @ _ct(Q)
 
     def max_step(self, dX, dS) -> float:
         """Largest alpha with X + alpha dX and S + alpha dS in the cone.
@@ -348,15 +441,26 @@ class _Scaling:
         directions without factoring X or S again (SDPT3).  For nn blocks
         the scaled directions are dx/x and ds/s.
         """
-        if self.blk.kind == "nn":
+        if self.nn:
             lam = min(float(np.min(dX / self.x)), float(np.min(dS / self.s)))
         else:
-            isq = 1.0 / np.sqrt(self.sig)
             lam = np.inf
-            for Q, dM in ((self.Gi * isq, dX), (self.G * isq, dS)):
-                Y = Q.conj().T @ dM @ Q
-                lam = min(lam, float(np.linalg.eigvalsh(symmetrize(Y))[0]))
+            for Q, Qh, dM in ((self._QX, self._QXh, dX), (self._QS, self._QSh, dS)):
+                Y = Qh @ dM @ Q
+                Y = 0.5 * (Y + Y.conj().swapaxes(-1, -2))
+                lam = min(lam, float(np.min(np.linalg.eigvalsh(Y)[..., 0])))
         return np.inf if lam >= 0 else -1.0 / lam
+
+    def corrector(self, dX, dS):
+        """The NT second-order term of the affine directions dX, dS."""
+        if self.nn:
+            return dX * dS / self.x
+        DX = self.Gih @ dX @ self.Gi
+        DS = self.Gh @ dS @ self.G
+        P = 0.5 * (DX @ DS + DS @ DX)
+        inv = 1.0 / self.sig
+        Pv = P * (0.5 * (inv[..., :, None] + inv[..., None, :]))
+        return self.Gi @ Pv @ self.Gih
 
 
 def _resolve_tol(tol) -> float:
@@ -593,28 +697,29 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
               verbose: bool = False) -> SdpSolution:
     """Solve the problem to relative accuracy tol (default 1e-9)."""
     eps = _resolve_tol(tol)
-    blocks, offsets, A, F, b, c, c_f = problem.compile()
     if problem.dimension() > 10_000:
         raise ValueError("problem dimension exceeds the supported limit (10^4)")
+    blocks, sl, groups, A, F, b, c, c_f = problem.compile()
     m, N = A.shape
     k = F.shape[1]
-    nb = len(blocks)
-    sl = [slice(offsets[i], offsets[i + 1]) for i in range(nb)]
-
-    # constraint data as matrices, per block
-    Amats = []
-    for i, blk in enumerate(blocks):
-        if blk.kind == "nn":
-            Amats.append(A[:, sl[i]])
-        else:
-            Amats.append(np.stack([blk.smat(A[j, sl[i]]) for j in range(m)]))
+    # the nonzero constraint blocks of each group as one matrix stack: row
+    # rows[k] of A meets block at[k] of the group in the matrix Z[k]
+    cons = []
+    for grp in groups:
+        seg = A[:, grp.sl]
+        if grp.blk.kind == "nn":
+            cons.append((None, None, seg))
+            continue
+        seg = seg.reshape(m, grp.g, grp.blk.size)
+        rows, at = np.nonzero(np.any(seg != 0.0, axis=2))
+        cons.append((rows, at, grp.blk.smat(seg[rows, at])))
 
     nu = sum(blk.nu for blk in blocks)
     bnorm = 1.0 + float(np.linalg.norm(b))
     cnorm = 1.0 + float(np.linalg.norm(np.concatenate([c, c_f])))
 
     # iterates
-    x = np.concatenate([blk.identity_vec() for blk in blocks])
+    x = np.concatenate([np.tile(grp.blk.identity_vec(), grp.g) for grp in groups])
     s = x.copy()
     y = np.zeros(m)
     u = np.zeros(k)
@@ -628,8 +733,22 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
     stall = 0
     status = SdpStatus.STALLED
     it = 0
+    phase_s = dict.fromkeys(
+        ("scaling", "schur", "newton", "step", "corrector", "polish"), 0.0
+    )
+    refine_rounds = 0
+    max_jitter = 0.0
+    mark = 0.0  # set at the start of each timed stretch
+
+    def lap(phase):
+        """Charge the time since the last mark to phase."""
+        nonlocal mark
+        now = perf_counter()
+        phase_s[phase] += now - mark
+        mark = now
 
     def mats_of(vec):
+        """Per-block matrices of vec, in declaration order."""
         return [blk.smat(vec[sl[i]]) for i, blk in enumerate(blocks)]
 
     for it in range(1, max_iter + 1):
@@ -693,16 +812,23 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
                 status = SdpStatus.DUAL_INFEASIBLE
                 break
 
-        # -- NT scalings and Schur complement
-        Xm = mats_of(x)
-        Sm = mats_of(s)
+        # -- NT scalings and Schur complement, one stacked call per group
+        mark = perf_counter()
         try:
-            scal = [_Scaling(blocks[i], Xm[i], Sm[i]) for i in range(nb)]
+            scal = [_Scaling(grp.blk.kind, grp.mats(x), grp.mats(s))
+                    for grp in groups]
         except np.linalg.LinAlgError:
             break  # lost interiority; report stalled with best iterate
-        WAW_rows = np.zeros((m, N))
-        for i, blk in enumerate(blocks):
-            WAW_rows[:, sl[i]] = blk.svec_batch(scal[i].apply_batch(Amats[i]))
+        xinv = np.concatenate([grp.vec(sc.xinv()) for grp, sc in zip(groups, scal)])
+        lap("scaling")
+        WAW_rows = np.empty((m, N))
+        for grp, sc, (rows, at, Z) in zip(groups, scal, cons):
+            if sc.nn:
+                WAW_rows[:, grp.sl] = sc.apply(Z)
+                continue
+            part = np.zeros((m, grp.g, grp.blk.size))
+            part[rows, at] = grp.blk.svec_upper(sc.apply(Z, at))
+            WAW_rows[:, grp.sl] = part.reshape(m, -1)
         Mschur = A @ WAW_rows.T
         Mschur = 0.5 * (Mschur + Mschur.T)
         jitter = 0.0
@@ -719,25 +845,21 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
                 jitter = max(jitter * 10, 1e-14 * max(base, 1.0))
         else:
             break
+        max_jitter = max(max_jitter, jitter)
 
         def msolve(r):
             return cho_solve((Lm, True), r, check_finite=False)
 
         def wop(vec):
-            out = np.empty(N)
-            for i, blk in enumerate(blocks):
-                out[sl[i]] = blk.svec(scal[i].apply(blk.smat(vec[sl[i]])))
-            return out
+            return np.concatenate(
+                [grp.vec(sc.apply(grp.mats(vec))) for grp, sc in zip(groups, scal)]
+            )
 
         Wc = wop(c)
         h = A @ Wc
         MiF = msolve(F) if k else np.zeros((m, 0))
         Mihb = msolve(h + b)
         cWc = c @ Wc
-
-        xinv = np.concatenate(
-            [blocks[i].svec(sc.xinv()) for i, sc in enumerate(scal)]
-        )
 
         qq = cWc + kappa / tau
         S2 = np.empty((k + 1, k + 1))
@@ -781,6 +903,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             but residuals are evaluated through the scaling operator itself,
             so a couple of refinement rounds recover the lost accuracy.
             """
+            nonlocal refine_rounds
             g1 = -res_p - A @ wop(rc_vec + res_d)
             g3 = (
                 -res_g
@@ -804,6 +927,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
                 )
                 if err <= 1e-14 * scale:
                     break
+                refine_rounds += 1
                 cy, cu, ct = solve3(r1, r2, r3)
                 dy = dy + cy
                 du = du + cu
@@ -811,18 +935,20 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             dx = wop(rc_vec + res_d + A.T @ dy) - Wc * dtau
             ds = -res_d - A.T @ dy + c * dtau
             dkappa = (sig_mu - tau * kappa - theta_tk) / tau - (kappa / tau) * dtau
+            lap("newton")
             return dx, dy, du, dtau, ds, dkappa
 
         def max_step(dx, ds, dtau, dkappa):
-            dXm = mats_of(dx)
-            dSm = mats_of(ds)
-            alpha = min(sc.max_step(dXm[i], dSm[i]) for i, sc in enumerate(scal))
+            alpha = min(sc.max_step(grp.mats(dx), grp.mats(ds))
+                        for grp, sc in zip(groups, scal))
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:
                 alpha = min(alpha, -kappa / dkappa)
+            lap("step")
             return alpha
 
+        lap("schur")
         # predictor
         aff = newton(-s, 0.0, 0.0)
         a_aff = max_step(aff[0], aff[4], aff[3], aff[5])
@@ -834,22 +960,13 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0 - 1e-10))
 
         # corrector with the NT second-order term
-        theta = np.empty(N)
-        dXm_a = mats_of(aff[0])
-        dSm_a = mats_of(aff[4])
-        for i, blk in enumerate(blocks):
-            if blk.kind == "nn":
-                theta[sl[i]] = dXm_a[i] * dSm_a[i] / x[sl[i]]
-            else:
-                sc = scal[i]
-                DX = sc.Gi.conj().T @ dXm_a[i] @ sc.Gi
-                DS = sc.G.conj().T @ dSm_a[i] @ sc.G
-                P = 0.5 * (DX @ DS + DS @ DX)
-                inv = 1.0 / sc.sig
-                Pv = P * (0.5 * (inv[:, None] + inv[None, :]))
-                theta[sl[i]] = blk.svec(sc.Gi @ Pv @ sc.Gi.conj().T)
+        theta = np.concatenate(
+            [grp.vec(sc.corrector(grp.mats(aff[0]), grp.mats(aff[4])))
+             for grp, sc in zip(groups, scal)]
+        )
         theta_tk = aff[3] * aff[5]
         rc = sigma * mu * xinv - s - theta
+        lap("corrector")
         dx, dy, du, dtau, ds, dkappa = newton(rc, sigma * mu, theta_tk)
         a_max = max_step(dx, ds, dtau, dkappa)
         alpha = min(1.0, 0.99 * a_max)
@@ -918,8 +1035,10 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
     xs, ss, us, ys = x / t, s / t, u / t, y / t
     polish = "not_run"
     if status is SdpStatus.OPTIMAL:
+        mark = perf_counter()
         polish, pol = _polish(blocks, sl, A, F, b, c, c_f, xs, us, ys,
                               max(pres, dres, gap), bnorm, cnorm)
+        lap("polish")
         if pol is not None:
             xs, ss, us, ys, pres, dres, gap = pol
     sol = SdpSolution(
@@ -940,7 +1059,9 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
         },
         certificate=certificate,
         stats={"polish": polish, "m": m, "N": N,
-               "blocks": [[blk.kind, blk.d] for blk in blocks]},
+               "blocks": [[blk.kind, blk.d] for blk in blocks],
+               "time": phase_s, "iters": it, "refine_rounds": refine_rounds,
+               "jitter": max_jitter},
     )
     return sol
 
@@ -948,15 +1069,18 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
 def verify_sdp(problem: SdpProblem, sol: SdpSolution,
                tol: Tolerance = Tolerance()) -> dict:
     """Recompute solution residuals from scratch (certificate self-check)."""
-    blocks, offsets, A, F, b, c, c_f = problem.compile()
+    blocks, sl, _, A, F, b, c, c_f = problem.compile()
+
+    def vec_of(mats):
+        out = np.empty(A.shape[1])
+        for i, blk in enumerate(blocks):
+            out[sl[i]] = blk.svec(mats[i])
+        return out
+
     report: dict = {"status": sol.status.value}
     if sol.status is SdpStatus.OPTIMAL:
-        x = np.concatenate(
-            [blocks[i].svec(sol.blocks[i]) for i in range(len(blocks))]
-        )
-        s = np.concatenate(
-            [blocks[i].svec(sol.slacks[i]) for i in range(len(blocks))]
-        )
+        x = vec_of(sol.blocks)
+        s = vec_of(sol.slacks)
         eigs = []
         for i, blk in enumerate(blocks):
             if blk.kind == "nn":
@@ -984,9 +1108,7 @@ def verify_sdp(problem: SdpProblem, sol: SdpSolution,
     elif sol.status is SdpStatus.PRIMAL_INFEASIBLE:
         cert = sol.certificate
         y = cert["y"]
-        s = np.concatenate(
-            [blocks[i].svec(cert["slacks"][i]) for i in range(len(blocks))]
-        )
+        s = vec_of(cert["slacks"])
         report["b_dot_y"] = float(b @ y)
         report["ray_residual"] = max(
             float(np.linalg.norm(A.T @ y + s)), float(np.linalg.norm(F.T @ y))
@@ -1005,9 +1127,7 @@ def verify_sdp(problem: SdpProblem, sol: SdpSolution,
         )
     elif sol.status is SdpStatus.DUAL_INFEASIBLE:
         cert = sol.certificate
-        x = np.concatenate(
-            [blocks[i].svec(cert["blocks"][i]) for i in range(len(blocks))]
-        )
+        x = vec_of(cert["blocks"])
         report["c_dot_x"] = float(cert["c_dot_x"])
         report["ray_residual"] = float(np.linalg.norm(A @ x + F @ cert["free"]))
         eigs = [

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from conekit import graphs
-from conekit.cli import _verify_sigma_certificate, main
+from conekit import cones, graphs
+from conekit.cli import _verify_cone_verdict, _verify_sigma_certificate, main
 from conekit.cones import berman_matrix, horn_matrix
 from conekit.linalg import Tolerance
 
@@ -246,6 +246,29 @@ def test_sigma_checker_rejects_understated_value():
     assert rep["split_residual"] and rep["E_nonneg"]
     assert rep["X_value"] is False
     assert rep["ok"] is False
+
+
+def test_kr_non_member_checks_normalization_and_singles():
+    M = horn_matrix()
+    v = cones.is_kr(M, 0)
+    assert v.status is cones.Verdict.NON_MEMBER
+    cert = v.certificate
+    rep = _verify_cone_verdict(v, M, Tolerance())
+    assert rep["ok"] and rep["normalization_positive"]
+    assert rep["moment_singles_nonneg"]
+    flipped = dataclasses.replace(
+        v, certificate={**cert, "normalization": -cert["normalization"]}
+    )
+    rep = _verify_cone_verdict(flipped, M, Tolerance())
+    assert rep["normalization_positive"] is False and rep["ok"] is False
+    singles = cert["moment_blocks"]["singles"].copy()
+    singles[0] = -1e-3
+    bad = dataclasses.replace(
+        v, certificate={**cert, "moment_blocks": {**cert["moment_blocks"],
+                                                  "singles": singles}}
+    )
+    rep = _verify_cone_verdict(bad, M, Tolerance())
+    assert rep["moment_singles_nonneg"] is False and rep["ok"] is False
 
 
 def test_sigma_inline_graph6_pentagon(capsys):

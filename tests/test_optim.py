@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, solve_triangular
@@ -184,10 +186,16 @@ def test_deterministic():
     assert s1.iterations == s2.iterations
 
 
-def test_dimension_guard():
+def test_dimension_guard(monkeypatch):
     p = SdpProblem()
     p.add_psd(150)  # svec length 11325 > 10^4
     p.add_eq(1.0, (p.add_nn(1), [1.0]))
+
+    def no_compile(self):
+        raise AssertionError("compile called before the size check")
+
+    # the guard fires before the dense (m, N) data is allocated
+    monkeypatch.setattr(SdpProblem, "compile", no_compile)
     with pytest.raises(ValueError):
         solve_sdp(p)
 
@@ -217,37 +225,63 @@ def _random_herm(rng, d, kind):
     return 0.5 * (M + M.conj().T)
 
 
+def _random_pd(rng, d, kind):
+    B = _random_herm(rng, d, kind)
+    return B @ B.conj().T + 0.1 * np.eye(d)
+
+
 @pytest.mark.parametrize("kind", ["psd", "hpsd"])
 def test_step_length_matches_cholesky_formula(kind):
     rng = np.random.default_rng(17)
     for d in (1, 3, 6, 10):
         for _ in range(5):
-            B = _random_herm(rng, d, kind)
-            X = B @ B.conj().T + 0.1 * np.eye(d)
+            X = _random_pd(rng, d, kind)
             B = _random_herm(rng, d, kind)
             S = B @ B.conj().T + 0.1 * np.eye(d)
-            sc = optim._Scaling(optim._Block(kind, d), X, S)
+            # a group of one block: stacks of shape (1, d, d)
+            sc = optim._Scaling(kind, X[None], S[None])
             dX = _random_herm(rng, d, kind)
             dS = _random_herm(rng, d, kind)
             ref = min(_cholesky_step(X, dX), _cholesky_step(S, dS))
-            assert sc.max_step(dX, dS) == pytest.approx(ref, rel=1e-10)
+            assert sc.max_step(dX[None], dS[None]) == pytest.approx(ref, rel=1e-10)
             # each side alone: the other direction is psd, so never binds
-            P = B @ B.conj().T
-            assert sc.max_step(dX, P) == pytest.approx(
+            P = (B @ B.conj().T)[None]
+            assert sc.max_step(dX[None], P) == pytest.approx(
                 _cholesky_step(X, dX), rel=1e-10
             )
-            assert sc.max_step(P, dS) == pytest.approx(
+            assert sc.max_step(P, dS[None]) == pytest.approx(
                 _cholesky_step(S, dS), rel=1e-10
             )
             assert sc.max_step(P, P + np.eye(d)) == np.inf
-            np.testing.assert_allclose(sc.xinv(), np.linalg.inv(X),
+            np.testing.assert_allclose(sc.xinv()[0], np.linalg.inv(X),
+                                       rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["psd", "hpsd"])
+def test_step_length_stacked_group(kind):
+    # g = 4 blocks in one stack; the binding block is the third
+    rng = np.random.default_rng(29)
+    for d in (2, 5):
+        X = np.stack([_random_pd(rng, d, kind) for _ in range(4)])
+        S = np.stack([_random_pd(rng, d, kind) for _ in range(4)])
+        dX = np.stack([_random_herm(rng, d, kind) for _ in range(4)])
+        dS = np.stack([_random_herm(rng, d, kind) for _ in range(4)])
+        dX[[0, 1, 3]] *= 0.01
+        dS[[0, 1, 3]] *= 0.01
+        steps = [min(_cholesky_step(X[q], dX[q]), _cholesky_step(S[q], dS[q]))
+                 for q in range(4)]
+        assert int(np.argmin(steps)) == 2
+        sc = optim._Scaling(kind, X, S)
+        assert sc.max_step(dX, dS) == pytest.approx(min(steps), rel=1e-10)
+        for q in range(4):
+            np.testing.assert_allclose(sc.xinv()[q], np.linalg.inv(X[q]),
                                        rtol=1e-8, atol=1e-10)
 
 
 def test_step_length_nn_ratio_test():
     x = np.array([1.0, 2.0, 0.5])
     s = np.array([0.3, 1.0, 4.0])
-    sc = optim._Scaling(optim._Block("nn", 3), x, s)
+    sc = optim._Scaling("nn", x, s)
     assert sc.max_step(np.array([-2.0, 1.0, -0.1]), np.zeros(3)) == 0.5
     assert sc.max_step(np.ones(3), np.array([1.0, -4.0, 0.0])) == 0.25
     assert sc.max_step(np.ones(3), np.zeros(3)) == np.inf
@@ -298,16 +332,113 @@ def test_solution_stats():
     rng = np.random.default_rng(4)
     M = rng.standard_normal((4, 4))
     p, _ = min_eig_problem(M + M.T)
+    t0 = time.perf_counter()
     sol = solve_sdp(p)
+    wall = time.perf_counter() - t0
     assert sol.optimal
     assert sol.stats["polish"] in ("accepted", "rejected")
     assert sol.stats["m"] == 10 and sol.stats["N"] == 10
     assert sol.stats["blocks"] == [["psd", 4]]
+    phases = sol.stats["time"]
+    assert set(phases) == {"scaling", "schur", "newton", "step", "corrector",
+                           "polish"}
+    assert all(t >= 0.0 for t in phases.values())
+    assert phases["newton"] > 0.0 and phases["polish"] > 0.0
+    assert sum(phases.values()) <= wall
+    assert sol.stats["iters"] == sol.iterations
+    assert sol.stats["refine_rounds"] >= 0
+    assert sol.stats["jitter"] >= 0.0
     p = SdpProblem()
     X = p.add_psd(3)
     p.add_eq(1.0, (X, np.eye(3)))
     p.add_eq(-2.0, (X, np.diag([1.0, 1.0, 2.0])))
     assert solve_sdp(p).stats["polish"] == "not_run"
+
+
+def _pdec_shaped_problem(interleave):
+    """The is_pdec SDP of a generic 5x5 pair: hpsd(5), nn(5) and ten
+    hpsd(2) bound blocks, declared in one of two orders."""
+    rng = np.random.default_rng(8)
+    n = 5
+    R = np.abs(rng.standard_normal((n, n)))
+    R = R + R.T
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    B = 0.3 * G @ G.conj().T
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = SdpProblem()
+    bone = p.add_hpsd(n)
+    if interleave:
+        bounds = [p.add_hpsd(2) for _ in pairs[:5]]
+        slack = p.add_nn(n)
+        bounds += [p.add_hpsd(2) for _ in pairs[5:]]
+    else:
+        slack = p.add_nn(n)
+        bounds = [p.add_hpsd(2) for _ in pairs]
+
+    def pick(d, i, j, part):
+        C = np.zeros((d, d), dtype=complex)
+        if i == j:
+            C[i, i] = 1.0
+        else:
+            C[i, j] = 0.5 if part == "re" else 0.5j
+            C[j, i] = np.conj(C[i, j])
+        return C
+
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        p.add_eq(B[i, i].real, (bone, pick(n, i, i, "")), (slack, e))
+    for blk, (i, j) in zip(bounds, pairs):
+        p.add_eq(R[i, j], (blk, pick(2, 0, 0, "")))
+        p.add_eq(R[i, j], (blk, pick(2, 1, 1, "")))
+        p.add_eq(B[i, j].real, (blk, pick(2, 0, 1, "re")), (bone, pick(n, i, j, "re")))
+        p.add_eq(B[i, j].imag, (blk, pick(2, 0, 1, "im")), (bone, pick(n, i, j, "im")))
+    p.set_cost(bone, np.eye(n))
+    return p, [bone, slack] + bounds
+
+
+def test_group_layout_is_order_independent():
+    p1, refs1 = _pdec_shaped_problem(False)
+    p2, refs2 = _pdec_shaped_problem(True)
+    s1, s2 = solve_sdp(p1), solve_sdp(p2)
+    assert s1.status is s2.status is SdpStatus.OPTIMAL
+    assert abs(s1.primal_obj - s2.primal_obj) <= 1e-8
+    for r1, r2 in zip(refs1, refs2):
+        assert (r1.kind, r1.dim) == (r2.kind, r2.dim)
+        np.testing.assert_allclose(s1.block(r1), s2.block(r2), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(s1.slack(r1), s2.slack(r2), rtol=0, atol=1e-6)
+    # the block lists stay in declaration order
+    shapes = [(5, 5)] + [(2, 2)] * 5 + [(5,)] + [(2, 2)] * 5
+    assert [b.shape for b in s2.blocks] == shapes
+
+
+@pytest.mark.parametrize("kind, d", [("psd", 4), ("hpsd", 3), ("nn", 6)])
+def test_group_svec_smat_match_per_block(kind, d):
+    rng = np.random.default_rng(31)
+    blk = optim._Block(kind, d)
+    g = 1 if kind == "nn" else 5
+    grp = optim._Group(blk, 3, g)
+    v = rng.standard_normal((2, 3 + g * blk.size + 4))  # two global vectors
+    stack = grp.mats(v)
+    back = grp.vec(stack)
+    for row in range(2):
+        seg = v[row, grp.sl]
+        if kind == "nn":
+            assert np.array_equal(stack[row], seg)
+            assert np.array_equal(blk.svec(stack[row]), back[row])
+            continue
+        for q in range(g):
+            part = slice(q * blk.size, (q + 1) * blk.size)
+            assert np.array_equal(stack[row, q], blk.smat(seg[part]))
+            assert np.array_equal(blk.svec(stack[row, q]), back[row, part])
+    np.testing.assert_allclose(back, v[:, grp.sl], rtol=1e-15, atol=0)
+    if kind != "nn":
+        upper = blk.svec_upper(stack).reshape(2, -1)
+        np.testing.assert_allclose(upper, v[:, grp.sl], rtol=1e-15, atol=0)
+        # svec of a stack takes each matrix's hermitian part, like svec of one
+        M = np.stack([_random_herm(rng, d, kind) + rng.standard_normal((d, d))
+                      for _ in range(g)])
+        assert np.array_equal(blk.svec(M), np.stack([blk.svec(Mq) for Mq in M]))
 
 
 # -- LP front end -----------------------------------------------------------
