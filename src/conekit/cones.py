@@ -241,10 +241,21 @@ def is_spn(M, tol=None) -> ConeVerdict:
     tr = np.trace(X)
     if tr > 0:
         X = X / tr
+    # clipped X is PSD only to solver accuracy: mix in I/n (nonnegative,
+    # trace one) with the least weight that lifts its lowest eigenvalue to 0
+    lam = min_eig(X)
+    if lam < 0:
+        w = -lam / (1.0 / n - lam)
+        X = (1.0 - w) * X + (w / n) * np.eye(n)
+    pairing = inner(X, A)
+    if not pairing < 0:
+        return ConeVerdict(
+            Verdict.UNKNOWN, "SPN", {}, detail="dual witness does not separate"
+        )
     return ConeVerdict(
         Verdict.NON_MEMBER,
         "SPN",
-        {"X": X, "pairing": inner(X, A)},
+        {"X": X, "pairing": pairing},
         value=float(tstar),
     )
 

@@ -565,8 +565,8 @@ def _sigma(G: Graph, strategy: str, tol=None, clique=None) -> SigmaResult:
     if key == "auto":
         if G.srg is not None and G.rank3:
             res = _sigma_srg_closed(G)
-        elif _cycle_order(G) is not None:
-            res = _sigma_cycle_closed(G, tol)
+        elif (order := _cycle_order(G)) is not None:
+            res = _sigma_cycle_closed(G, order)
         else:
             K = max_clique(G) if clique is None else clique
             coloring = _omega_coloring(G, K)
@@ -813,16 +813,37 @@ def _sigma_circulant(G: Graph, tol=None) -> SigmaResult:
     return SigmaResult(t, "twirl-circulant-lp", cert)
 
 
-def _sigma_cycle_closed(G: Graph, tol=None) -> SigmaResult:
+def _sigma_cycle_closed(G: Graph, order: list) -> SigmaResult:
+    """sigma(C_n) = 1 - cos(2 pi j / n), j = floor(n/2), certified exactly.
+
+    That is 2 for even n and 1 + cos(pi / n) for odd n.  With pi(u) the
+    position of u in ``order``, P_uv = cos(2 pi j (pi(u) - pi(v)) / n) is PSD
+    of rank <= 2 and equals 1 - sigma on edges, so E = J - sigma A - P is 0
+    on edges and the diagonal and 1 - P_uv >= 0 elsewhere.  The dual
+    X = ((sigma - 1) I + A/2) / n is PSD (the least eigenvalue of A is
+    2 cos(2 pi j / n) = 2 (1 - sigma)) and nonnegative, with <A, X> = 1 and
+    <J, X> = sigma, so it pins the value from above.
+    """
     n = G.n
+    j = n // 2
     value = 2.0 if n % 2 == 0 else 1.0 + math.cos(math.pi / n)
-    lp = _sigma_circulant(G, tol)
-    if abs(lp.value - value) > 1e-7:
-        raise ArithmeticError(
-            f"cycle closed form {value} disagrees with circulant LP {lp.value}"
-        )
-    cert = dict(lp.certificate)
-    cert["t"] = value
+    pos = np.empty(n, dtype=int)
+    pos[order] = np.arange(n)
+    D = (j * (pos[:, None] - pos[None, :])) % n
+    P = np.cos(2.0 * math.pi * D / n)
+    A = np.asarray(G.adjacency)
+    J = np.ones((n, n))
+    E = J - value * A - P
+    E[(A != 0) | np.eye(n, dtype=bool)] = 0.0
+    X = ((value - 1.0) * np.eye(n) + A / 2.0) / n
+    cert = {
+        "P": P,
+        "E": E,
+        "t": value,
+        "dual_X": X,
+        "order": order,
+        "residual": float(np.max(np.abs(J - value * A - P - E))),
+    }
     return SigmaResult(value, "cycle-closed-form", cert)
 
 

@@ -27,6 +27,16 @@ data enters (`add_eq`, `set_cost`) or leaves (`SdpSolution.blocks` and
 `slacks`, in declaration order, and the polish step).
 
 LPs are delegated to scipy's HiGHS interface.
+
+scipy is imported where it is called (`cho_solve` at the top of
+`solve_sdp`, `linprog` in `solve_lp`), never at module level: importing
+`scipy.linalg` and `scipy.optimize` costs about 0.7 s in a fresh process,
+which a caller that never reaches an SDP or an LP (the closed-form `sigma`
+routes, the CLI's catalogue commands) should not pay.  The Schur solve
+stays scipy's `cho_solve` although numpy could replace it: numpy has no
+triangular solve, and applying an explicit inverse of the Cholesky factor
+instead moves `in_kr_dual(berman_matrix(), 1)` by 1.1e-7, beyond the 1e-9
+its tests assert.
 """
 
 from __future__ import annotations
@@ -38,8 +48,6 @@ from time import perf_counter
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.optimize import linprog
 
 from .linalg import DimensionMismatch, Tolerance, symmetrize
 
@@ -696,6 +704,8 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
 def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
               verbose: bool = False) -> SdpSolution:
     """Solve the problem to relative accuracy tol (default 1e-9)."""
+    from scipy.linalg import cho_solve
+
     eps = _resolve_tol(tol)
     if problem.dimension() > 10_000:
         raise ValueError("problem dimension exceeds the supported limit (10^4)")
@@ -1167,6 +1177,8 @@ def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None,
     bounds follows scipy's convention; default is x >= 0.  Dual multipliers
     for the equality rows are returned when available.
     """
+    from scipy.optimize import linprog
+
     res = linprog(
         c,
         A_ub=A_ub,

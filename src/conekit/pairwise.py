@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .linalg import (
     Tolerance,
@@ -564,7 +563,7 @@ def is_pdec(pair: MatrixPair, tol=None) -> PairVerdict:
         return PairVerdict(
             Verdict.MEMBER, "pdec",
             {"B1": B1, "B2": B2, "margin": float(margin),
-             "solution": sol, "problem": prob},
+             "solver_stats": sol.stats},
             detail="explicit decomposition found by SDP",
         )
     if sol.status is SdpStatus.PRIMAL_INFEASIBLE:
@@ -789,6 +788,8 @@ def pcp_checks(pair: MatrixPair, tol=None, effort="default",
                                       "positive cone")
 
     # greedy atomic fitting
+    from scipy.optimize import nnls
+
     rng = np.random.default_rng(seed)
     target = _pair_vec(A, B, n)
     tscale = max(1.0, float(np.linalg.norm(target)))

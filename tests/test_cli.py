@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conekit
 from conekit import cones, graphs
 from conekit.cli import _verify_cone_verdict, _verify_sigma_certificate, main
 from conekit.cones import berman_matrix, horn_matrix
@@ -297,6 +302,14 @@ def test_classify_map_pentagon(capsys):
     assert th["t_dec"] == pytest.approx(1.809017, abs=1e-6)
     assert th["t_pos"] == pytest.approx(2.0)
     assert rep["verify"]["ok"] is True
+    assert rep["verify"]["X_value"] is True
+
+
+def test_sigma_cycle_verifies(capsys):
+    code, rep = run(capsys, "sigma", "--graph", "c7", "--verify")
+    assert code == 0
+    assert rep["result"]["provenance"] == "cycle-closed-form"
+    assert rep["verify"]["ok"] and rep["verify"]["X_value"]
 
 
 def test_scan_gap_counts_and_errors(capsys, tmp_path):
@@ -427,3 +440,48 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_size_limit_is_usage_error(capsys, tmp_path):
     big = write_matrix(tmp_path / "big.json", np.eye(9))
     assert main(["cone-check", "--cone", "kr", "--level", "2", "--in", big]) == 64
+
+
+# ---------------------------------------------------------------------------
+# import hygiene: scipy is loaded only by the routes that call it
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import conekit, conekit.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = conekit.cli.main(sys.argv[1:])
+    assert code == 0, code
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(*argv):
+    """The scipy modules a fresh interpreter holds after running argv."""
+    src = str(Path(conekit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return set(json.loads(out.stdout))
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("sigma", "--graph", "petersen"),
+    ("classify-map", "--graph", "c5"),
+    ("srg-catalog",),
+])
+def test_closed_form_routes_load_no_scipy(argv):
+    assert scipy_modules_after(*argv) == set()
+
+
+def test_sdp_route_loads_scipy_linalg_only():
+    mods = scipy_modules_after("sigma", "--strategy", "sdp", "--graph",
+                               "shrikhande")
+    assert "scipy.linalg" in mods
+    assert not any(m.startswith("scipy.optimize") for m in mods)

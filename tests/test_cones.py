@@ -141,6 +141,28 @@ def test_spn_negative_eigenvalue_matrix_rejected():
     assert v.status is Verdict.NON_MEMBER
 
 
+def test_spn_dual_witness_is_strictly_doubly_nonnegative():
+    rng = np.random.default_rng(11)
+    batch = [horn_matrix() * s for s in (1e-3, 1.0, 37.0, 1e3)]
+    for n in range(4, 8):
+        for _ in range(4):
+            M = rng.normal(size=(n, n))
+            batch.append((M + M.T) * 10.0 ** rng.uniform(-3, 3))
+    refuted = 0
+    for M in batch:
+        v = is_spn(M)
+        if v.status is not Verdict.NON_MEMBER:
+            continue
+        refuted += 1
+        X = v.certificate["X"]
+        assert np.min(X) >= 0.0
+        assert np.linalg.eigvalsh(X)[0] >= -1e-14
+        assert np.trace(X) == pytest.approx(1.0)
+        assert inner(X, M) < 0
+        assert v.certificate["pairing"] == inner(X, M)
+    assert refuted >= 16
+
+
 # ---------------------------------------------------------------------------
 # hierarchy levels
 

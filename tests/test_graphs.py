@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conekit.graphs as gr
+from conekit.cli import _verify_sigma_certificate
 from conekit.cones import SizeLimit
+from conekit.linalg import Tolerance
 
 DATA = pathlib.Path(__file__).parent / "data"
 PHI = math.sqrt(5.0)
@@ -190,6 +192,31 @@ def test_sigma_cycles(n):
     assert sdp.value == pytest.approx(res.value, abs=1e-6)
     tw = gr.sigma(g, strategy="twirl")
     assert tw.value == pytest.approx(res.value, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(n, None) for n in range(3, 13)] + [(7, 1), (8, 2)]
+)
+def test_cycle_closed_form_is_exact_without_lp(n, seed, monkeypatch):
+    g = gr.cycle_graph(n)
+    if seed is not None:  # a random relabelling
+        perm = np.random.default_rng(seed).permutation(n)
+        g = gr.Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+    circulant = gr._sigma_circulant(g)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the cycle closed form must not solve an LP")
+
+    monkeypatch.setattr(gr, "solve_lp", no_lp)
+    res = gr.sigma(g)
+    assert res.provenance == "cycle-closed-form"
+    assert res.value == pytest.approx(circulant.value, abs=1e-9)
+    cert = res.certificate
+    A = g.adjacency
+    assert np.all(cert["E"][(A != 0) | np.eye(g.n, dtype=bool)] == 0.0)
+    assert np.linalg.matrix_rank(cert["P"], tol=1e-9) <= 2
+    rep = _verify_sigma_certificate(g, res, Tolerance())
+    assert rep["ok"] and rep["X_value"]
 
 
 def _check_sigma_cert(g, res, tol=1e-7):

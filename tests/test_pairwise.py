@@ -358,6 +358,13 @@ def test_pdec_wheel_family_threshold_matches_sigma_pentagon():
     above = is_pdec(pair_form(J, I - (sig + 0.01) * Adj))
     assert below.status is Verdict.MEMBER
     assert above.status is Verdict.NON_MEMBER
+    # a member is checked from B1/B2, so it keeps no solver objects; the
+    # Farkas refutation is checked against the problem and solution it keeps
+    assert not {"problem", "solution"} & below.certificate.keys()
+    assert below.certificate["solver_stats"]["iters"] > 0
+    assert verify_pair(pair_form(J, I - (sig - 0.01) * Adj), below)
+    assert above.certificate["reason"] == "infeasible"
+    assert {"problem", "solution"} <= above.certificate.keys()
     assert verify_pair(pair_form(J, I - (sig + 0.01) * Adj), above)
 
 
