@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Optional
 
@@ -88,7 +89,11 @@ class ConeVerdict:
 
 @dataclass(frozen=True)
 class Effort:
-    """Search-budget knobs for the procedures that mix solves and heuristics."""
+    """Search-budget knobs for the procedures that mix solves and heuristics.
+
+    refute_starts is the number of projected-gradient restarts in
+    cop_refute; it acts only for n > 12, where no exact face scan runs.
+    """
 
     name: str = "default"
     max_level: int = 2
@@ -556,45 +561,76 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+@lru_cache(maxsize=None)
+def _supports(n: int, k: int):
+    """All k-subsets of range(n) as a (C(n, k), k) index array, with masks."""
+    idx = np.array(list(combinations(range(n), k)), dtype=np.intp)
+    masks = np.sum(1 << idx, axis=1)
+    idx.setflags(write=False)
+    masks.setflags(write=False)
+    return idx, masks
+
+
+def _face_solves(subs: np.ndarray) -> np.ndarray:
+    """Solve sub x = 1 for a stack of faces; NaN rows where none is exact.
+
+    One stacked solve per face size; a singular face sends that size back
+    to one solve per face, with a least-squares fallback accepted at
+    residual 1e-9.
+    """
+    k = subs.shape[1]
+    try:
+        return np.linalg.solve(subs, np.ones(subs.shape[:2] + (1,)))[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    ones = np.ones(k)
+    out = np.full(subs.shape[:2], np.nan)
+    for t, sub in enumerate(subs):
+        try:
+            out[t] = np.linalg.solve(sub, ones)
+        except np.linalg.LinAlgError:
+            xr, *_ = np.linalg.lstsq(sub, ones, rcond=None)
+            if np.max(np.abs(sub @ xr - ones)) <= 1e-9:
+                out[t] = xr
+    return out
+
+
 def _support_scan(M: np.ndarray):
     """Enumerate simplex-face critical points; exact for nonsingular faces.
 
-    Returns (best value, best vector on the simplex).
+    On each support I with M_II x = 1 solvable and x of one sign, x / 1ᵀx
+    is a critical point with value 1 / 1ᵀx.  A negative minimum over the
+    simplex is always attained on a face with M_II nonsingular, so it is
+    found exactly.  Ties go to the vertex, then to the smallest support
+    mask.  Returns (best value, best vector on the simplex).
     """
     n = M.shape[0]
-    best_val = np.inf
-    best_x = None
-    # vertices
     i = int(np.argmin(np.diag(M)))
-    best_val = float(M[i, i])
-    x = np.zeros(n)
-    x[i] = 1.0
-    best_x = x
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        if len(idx) < 2:
+    best = (float(M[i, i]), -1)  # (value, support mask)
+    best_x = np.zeros(n)
+    best_x[i] = 1.0
+    for k in range(2, n + 1):
+        idx, masks = _supports(n, k)
+        X = _face_solves(M[idx[:, :, None], idx[:, None, :]])
+        s = X.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = np.abs(s) >= 1e-12
+            Xf = X / s[:, None]
+            ok &= ~(np.min(Xf, axis=1) < 0.0)
+            vals = 1.0 / s
+        if not ok.any():
             continue
-        sub = M[np.ix_(idx, idx)]
-        ones = np.ones(len(idx))
-        try:
-            xr = np.linalg.solve(sub, ones)
-        except np.linalg.LinAlgError:
-            xr, *_ = np.linalg.lstsq(sub, ones, rcond=None)
-            if np.max(np.abs(sub @ xr - ones)) > 1e-9:
-                continue
-        s = float(xr.sum())
-        if abs(s) < 1e-12:
-            continue
-        xf = xr / s
-        if float(np.min(xf)) < 0.0:
-            continue
-        val = 1.0 / s
-        if val < best_val:
-            best_val = val
-            x = np.zeros(n)
-            x[idx] = xf
-            best_x = x
-    return best_val, best_x
+        cand = np.flatnonzero(ok)
+        vals_ok = vals[cand]
+        lo = vals_ok.min()
+        tied = cand[vals_ok == lo]
+        t = tied[np.argmin(masks[tied])]
+        key = (float(lo), int(masks[t]))
+        if key < best:
+            best = key
+            best_x = np.zeros(n)
+            best_x[idx[t]] = Xf[t]
+    return best[0], best_x
 
 
 def _proj_grad(M: np.ndarray, x0: np.ndarray, iters: int = 200):
@@ -624,24 +660,26 @@ def _proj_grad(M: np.ndarray, x0: np.ndarray, iters: int = 200):
 def cop_refute(M, tol=None, effort="default", seed: int = 0):
     """Search for x >= 0 on the simplex with x^T M x < 0.
 
-    Combines an exhaustive face scan (n <= 12) with seeded multistart
-    projected gradient descent.  Returns (best value, best vector); the
-    value is a certified upper bound for min_{simplex} x^T M x since the
-    vector is returned and can be re-evaluated.
+    For n <= 12 this is the exhaustive face scan alone, which attains a
+    negative simplex minimum exactly (Kaplan, LAA 313, 2000), so `effort`
+    and `seed` have no effect there.  For n > 12 it runs effort.refute_starts
+    seeded projected-gradient descents instead.  Returns (best value, best
+    vector); the value is a certified upper bound for min_{simplex} x^T M x
+    since the vector is returned and can be re-evaluated.
     """
-    tol = as_tolerance(tol)
     eff = Effort.of(effort)
     A = np.real(check_hermitian(M))
     n = A.shape[0]
     best_val, best_x = np.inf, None
     if n <= 12:
         best_val, best_x = _support_scan(A)
-    rng = np.random.default_rng(seed)
-    for _ in range(eff.refute_starts):
-        x0 = rng.dirichlet(np.ones(n))
-        f, x = _proj_grad(A, x0)
-        if f < best_val:
-            best_val, best_x = f, x
+    else:
+        rng = np.random.default_rng(seed)
+        for _ in range(eff.refute_starts):
+            x0 = rng.dirichlet(np.ones(n))
+            f, x = _proj_grad(A, x0)
+            if f < best_val:
+                best_val, best_x = f, x
     if best_x is not None:
         best_x = np.maximum(best_x, 0.0)
         s = best_x.sum()

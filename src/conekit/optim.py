@@ -223,7 +223,8 @@ class SdpSolution:
     # or "accepted"; "m", "N" and "blocks" ([kind, dim] each) give its size;
     # "time" holds seconds per phase ("scaling", "schur" build and factor,
     # "newton" solves with refinement, "step", "corrector", "polish"), and
-    # "iters", "refine_rounds" (total) and "jitter" (largest used) the rest
+    # "iters", "best_iter" (the iteration of the returned iterate),
+    # "refine_rounds" (total) and "jitter" (largest used) the rest
     stats: dict = field(default_factory=dict)
 
     def block(self, ref: BlockRef):
@@ -739,6 +740,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
     best_inf_data = {}
     best_score = np.inf
     best_state = None
+    best_it = 0
     worse = 0
     stall = 0
     status = SdpStatus.STALLED
@@ -786,6 +788,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             best_score = score
             best_state = (x.copy(), s.copy(), y.copy(), u.copy(), tau, kappa,
                           pres, dres, gap)
+            best_it = it
             worse = 0
         elif best_score < 1e-6 and score > 10 * best_score:
             # numerical floor of the Schur solve reached; stop degrading
@@ -1010,6 +1013,8 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             best_state[4], best_state[5], best_state[6], best_state[7],
             best_state[8],
         )
+    else:
+        best_it = it
     certificate = None
     if status is SdpStatus.STALLED:
         # accept a near-certificate if it is tight enough to be useful;
@@ -1070,7 +1075,8 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
         certificate=certificate,
         stats={"polish": polish, "m": m, "N": N,
                "blocks": [[blk.kind, blk.d] for blk in blocks],
-               "time": phase_s, "iters": it, "refine_rounds": refine_rounds,
+               "time": phase_s, "iters": it, "best_iter": best_it,
+               "refine_rounds": refine_rounds,
                "jitter": max_jitter},
     )
     return sol

@@ -159,7 +159,11 @@ def necessary_filters(pair: MatrixPair, tol=None, effort="default",
                       seed: int = 0) -> dict:
     """Three conditions every pairwise copositive pair satisfies.
 
-    Any FAIL certifies non-membership; all-PASS is inconclusive.
+    Any FAIL certifies non-membership; all-PASS is inconclusive.  The
+    symmetrized filter only refutes: it searches for x >= 0 with
+    x^T (A + A^T + 2 Re ring B) x < 0 and certifies nothing.  For n <= 12
+    that search is an exact face scan, so PASS means no such x exists
+    within tolerance; for n > 12 a failed search reports UNKNOWN.
     """
     tol = as_tolerance(tol)
     eff = Effort.of(effort)
@@ -176,10 +180,12 @@ def necessary_filters(pair: MatrixPair, tol=None, effort="default",
         report["A_entrywise"] = ("PASS", {"min_entry": worst})
 
     S = A + A.T + 2 * np.real(off_diag(B))
-    cop = cones.is_cop(S, tol=tol, effort=eff, seed=seed)
-    tag = {Verdict.MEMBER: "PASS", Verdict.NON_MEMBER: "FAIL",
-           Verdict.UNKNOWN: "UNKNOWN"}[cop.status]
-    report["symmetrized_cop"] = (tag, {"verdict": cop})
+    val, x = cones.cop_refute(S, tol=tol, effort=eff, seed=seed)
+    if val < -tol.feas_tol * max(1.0, float(np.max(np.abs(S)))):
+        report["symmetrized_cop"] = ("FAIL", {"vector": x, "value": val})
+    else:
+        report["symmetrized_cop"] = ("PASS" if n <= 12 else "UNKNOWN",
+                                     {"refuter_min": val})
 
     worst_pair, worst_val = None, np.inf
     for i in range(n):
@@ -329,18 +335,16 @@ def is_copcp(pair: MatrixPair, tol=None, effort="default",
         )
     tag, info = report["symmetrized_cop"]
     if tag == "FAIL":
-        x = info["verdict"].certificate.get("vector")
-        if x is not None:
-            s = np.sqrt(np.clip(np.asarray(x, dtype=float), 0.0, None))
-            val = copcp_form_value(pair, s, s)
-            if val < -tol.feas_tol * scale:
-                return PairVerdict(
-                    Verdict.NON_MEMBER, "copcp",
-                    {"v": s.astype(complex), "w": s.astype(complex),
-                     "value": val, "filter": "symmetrized_cop"},
-                    value=val,
-                    detail="copositivity refuter on A+A^T+2Re(ring B)",
-                )
+        s = np.sqrt(np.clip(info["vector"], 0.0, None))
+        val = copcp_form_value(pair, s, s)
+        if val < -tol.feas_tol * scale:
+            return PairVerdict(
+                Verdict.NON_MEMBER, "copcp",
+                {"v": s.astype(complex), "w": s.astype(complex),
+                 "value": val, "filter": "symmetrized_cop"},
+                value=val,
+                detail="copositivity refuter on A+A^T+2Re(ring B)",
+            )
     tag, info = report["entry_inequality"]
     if tag == "FAIL":
         val, v, w = _refute_copcp(pair, tol, eff, seed,
@@ -807,18 +811,18 @@ def pcp_checks(pair: MatrixPair, tol=None, effort="default",
         w = rng.normal(size=n) + 1j * rng.normal(size=n)
         atoms.append((v, w))
 
-    def fit(atom_list):
-        M = np.stack([_pair_vec(*_atom(v, w), n) for v, w in atom_list],
-                     axis=1)
-        lam, res = nnls(M, target)
-        return lam, res
+    # atoms are only ever appended, so their matrices and columns are too
+    parts = [_atom(v, w) for v, w in atoms]
+    cols = [_pair_vec(*p, n) for p in parts]
 
     RA, RB = A, B
     best = None
     for _ in range(50):
         va, wa = _derive_atom(RA, RB, n)
         atoms.append((va, wa))
-        lam, res = fit(atoms)
+        parts.append(_atom(va, wa))
+        cols.append(_pair_vec(*parts[-1], n))
+        lam, res = nnls(np.stack(cols, axis=1), target)
         if best is None or res < best[1] - 1e-15:
             best = (lam.copy(), res)
         if res <= tol.feas_tol * tscale:
@@ -829,10 +833,8 @@ def pcp_checks(pair: MatrixPair, tol=None, effort="default",
                 {"route": "atoms", "atoms": chosen, "residual": float(res)},
                 detail="explicit atomic decomposition found",
             )
-        cur_A = sum(l * _atom(v, w)[0]
-                    for (v, w), l in zip(atoms, lam) if l > 0)
-        cur_B = sum(l * _atom(v, w)[1]
-                    for (v, w), l in zip(atoms, lam) if l > 0)
+        cur_A = sum(l * Aat for (Aat, _), l in zip(parts, lam) if l > 0)
+        cur_B = sum(l * Bat for (_, Bat), l in zip(parts, lam) if l > 0)
         RA = A - cur_A
         RB = np.asarray(B, dtype=complex) - cur_B
         if best[1] > 0 and res > best[1] * (1 - 1e-9) and len(atoms) > n * n + 40:

@@ -395,3 +395,160 @@ def test_cop_never_contradicts_refuter(seed):
     elif v.status is Verdict.MEMBER:
         val, x = cop_refute(M, effort="fast", seed=seed + 1)
         assert val >= -1e-7 * max(1.0, np.max(np.abs(M)))
+
+
+# ---------------------------------------------------------------------------
+# the copositivity refuter: exact face scan up to n = 12
+
+
+def _loop_scan(M):
+    """The per-support reference scan: one solve per face, in mask order."""
+    n = M.shape[0]
+    i = int(np.argmin(np.diag(M)))
+    best_val = float(M[i, i])
+    best_x = np.zeros(n)
+    best_x[i] = 1.0
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        if len(idx) < 2:
+            continue
+        sub = M[np.ix_(idx, idx)]
+        ones = np.ones(len(idx))
+        try:
+            xr = np.linalg.solve(sub, ones)
+        except np.linalg.LinAlgError:
+            xr, *_ = np.linalg.lstsq(sub, ones, rcond=None)
+            if np.max(np.abs(sub @ xr - ones)) > 1e-9:
+                continue
+        s = float(xr.sum())
+        if abs(s) < 1e-12:
+            continue
+        xf = xr / s
+        if float(np.min(xf)) < 0.0:
+            continue
+        if 1.0 / s < best_val:
+            best_val = 1.0 / s
+            best_x = np.zeros(n)
+            best_x[idx] = xf
+    return best_val, best_x
+
+
+def _scan_inputs(seed):
+    """Seeded symmetric inputs, n = 2-9, several with singular faces."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(2, 10):
+        M = rng.normal(size=(n, n))
+        out.append((M + M.T) / 2)
+        V = rng.normal(size=(n, 2))
+        out.append(V @ V.T)                        # rank 2: singular faces
+        out.append(V @ V.T - 1e-3 * np.eye(n))
+        rep = list(range(n - 1)) + [0]             # repeated row and column
+        out.append((rand_nonneg_sym(rng, n - 1) - 0.5)[np.ix_(rep, rep)])
+        out.append(np.round(2 * ((M + M.T) / 2)))  # integer entries, ties
+    return out
+
+
+def test_batched_scan_matches_per_support_loop():
+    for M in _scan_inputs(17) + [horn_matrix(), -horn_matrix()]:
+        val, x = cones._support_scan(M)
+        ref_val, ref_x = _loop_scan(M)
+        assert val == ref_val
+        assert np.array_equal(x, ref_x)
+
+
+def test_cop_refute_runs_no_restarts_up_to_n12(monkeypatch):
+    def no_restarts(*_args, **_kwargs):
+        raise AssertionError("projected gradient called for n <= 12")
+
+    monkeypatch.setattr(cones, "_proj_grad", no_restarts)
+    rng = np.random.default_rng(3)
+    for n in (2, 5, 9, 12):
+        M = rng.normal(size=(n, n))
+        M = (M + M.T) / 2
+        ref_val, ref_x = cop_refute(M)
+        assert ref_val == pytest.approx(float(ref_x @ M @ ref_x))
+        for effort, seed in (("fast", 0), ("thorough", 1)):
+            val, x = cop_refute(M, effort=effort, seed=seed)
+            assert val == ref_val and np.array_equal(x, ref_x)
+
+
+def test_cop_refute_restarts_above_n12(monkeypatch):
+    calls = []
+    real = cones._proj_grad
+
+    def counting(M, x0, iters=200):
+        calls.append(M.shape[0])
+        return real(M, x0, iters)
+
+    monkeypatch.setattr(cones, "_proj_grad", counting)
+    rng = np.random.default_rng(4)
+    M = rng.normal(size=(13, 13))
+    M = (M + M.T) / 2
+    val, x = cop_refute(M, effort="fast")
+    assert calls == [13] * Effort.of("fast").refute_starts
+    assert val == pytest.approx(float(x @ M @ x))
+    assert np.min(x) >= 0 and np.sum(x) == pytest.approx(1.0)
+
+
+def test_restarts_never_beat_the_scan():
+    # a negative simplex minimum sits on a face with M_II nonsingular, so
+    # the restart search cannot find a lower value than the face scan
+    rng = np.random.default_rng(5)
+    for n in range(3, 10):
+        for family in range(3):
+            if family == 0:
+                M = rng.normal(size=(n, n))
+                M = (M + M.T) / 2
+            elif family == 1:
+                V = rng.normal(size=(n, 2))
+                M = V @ V.T - 1e-3 * np.eye(n)
+            else:
+                M = rand_nonneg_sym(rng, n) - 0.3
+            val, _ = cones._support_scan(M)
+            scale = max(1.0, float(np.max(np.abs(M))))
+            for _ in range(6):
+                f, x = cones._proj_grad(M, rng.dirichlet(np.ones(n)))
+                assert f >= val - 1e-12 * scale
+
+
+def _non_copositive_inputs(seed):
+    """Seeded inputs, n = 3-8, whose simplex minimum is clearly negative."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < 18:
+        n = 3 + len(out) % 6
+        kind = len(out) // 6
+        if kind == 0:
+            M = rng.normal(size=(n, n))
+            M = (M + M.T) / 2
+            np.fill_diagonal(M, np.abs(np.diag(M)))
+        elif kind == 1:
+            V = rng.normal(size=(n, 2))
+            M = V @ V.T - 0.2 * np.eye(n)
+        else:
+            M = rand_nonneg_sym(rng, n)
+            i, j = rng.choice(n, 2, replace=False)
+            M[i, j] = M[j, i] = -2.0 * np.sqrt(M[i, i] * M[j, j]) - 0.5
+        val, _ = cop_refute(M)
+        if val < -0.05 * max(1.0, float(np.max(np.abs(M)))):
+            out.append(M)
+    return out
+
+
+def test_cop_refutation_is_invariant_under_symmetries():
+    rng = np.random.default_rng(19)
+    for M in _non_copositive_inputs(23):
+        n = M.shape[0]
+        P = np.eye(n)[rng.permutation(n)]
+        D = np.diag(rng.uniform(0.5, 2.0, n))
+        variants = [M, P @ M @ P.T, D @ M @ D]
+        variants += [s * M for s in (1e-3, 37.0, 1e3)]
+        for Mv in variants:
+            val, x = cop_refute(Mv)
+            assert val < 0
+            assert np.min(x) >= 0 and float(x @ Mv @ x) < 0
+            v = is_cop(Mv)
+            assert v.status is Verdict.NON_MEMBER
+            y = v.certificate["vector"]
+            assert np.min(y) >= 0 and float(y @ Mv @ y) < 0

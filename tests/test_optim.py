@@ -355,6 +355,20 @@ def test_solution_stats():
     assert solve_sdp(p).stats["polish"] == "not_run"
 
 
+def test_best_iter_records_the_returned_iterate():
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((4, 4))
+        p, _ = min_eig_problem(M + M.T)
+        sol = solve_sdp(p)
+        assert 1 <= sol.stats["best_iter"] <= sol.stats["iters"]
+        # an eps of 1e-6 stops at the first iterate that meets it, and the
+        # floor rule never fires first, so the last iterate is the best
+        loose = solve_sdp(p, 1e-6)
+        assert loose.optimal
+        assert loose.stats["best_iter"] == loose.stats["iters"]
+
+
 def _pdec_shaped_problem(interleave):
     """The is_pdec SDP of a generic 5x5 pair: hpsd(5), nn(5) and ten
     hpsd(2) bound blocks, declared in one of two orders."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conekit import cones, optim
 from conekit.cones import Verdict, berman_matrix, horn_matrix
 from conekit.graphs import catalog
 from conekit import pairwise as pw
@@ -152,6 +153,33 @@ def test_filters_pass_on_nonnegative_psd_pair():
     assert rep["A_entrywise"][0] == "PASS"
     assert rep["entry_inequality"][0] == "PASS"
     assert rep["symmetrized_cop"][0] in ("PASS", "UNKNOWN")
+
+
+def test_symmetrized_filter_refutes_without_solving(monkeypatch):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("necessary_filters started an SDP solve")
+
+    for mod in (cones, optim, pw):
+        monkeypatch.setattr(mod, "solve_sdp", no_solve)
+    rng = np.random.default_rng(6)
+    tags = set()
+    for n in (3, 5, 8, 13):
+        for trial in range(4):
+            A = np.abs(rng.normal(size=(n, n)))
+            B = random_hermitian(rng, n) if trial else np.zeros((n, n))
+            B[np.diag_indices(n)] = np.diag(A)
+            tag, info = necessary_filters(pair_form(A, B),
+                                          effort="fast")["symmetrized_cop"]
+            tags.add((n <= 12, tag))
+            S = A + A.T + 2 * np.real(ring(B))
+            if tag == "FAIL":
+                x = info["vector"]
+                assert np.min(x) >= 0 and float(x @ S @ x) == info["value"] < 0
+            else:
+                assert tag == ("PASS" if n <= 12 else "UNKNOWN")
+                assert info["refuter_min"] >= -1e-7 * np.max(np.abs(S))
+    assert tags == {(True, "PASS"), (True, "FAIL"), (False, "UNKNOWN"),
+                    (False, "FAIL")}
 
 
 def test_filters_fail_on_negative_entry():
