@@ -26,6 +26,17 @@ group's nonzero constraint blocks.  Per-block matrices appear only where
 data enters (`add_eq`, `set_cost`) or leaves (`SdpSolution.blocks` and
 `slacks`, in declaration order, and the polish step).
 
+The loop ends at the first iterate whose score max(pres, dres, gap)
+exceeds 10x the best score, once the best is under 1e-6: past that
+bounce the Schur solve is at its numerical floor, and a later iterate
+beats the best one only by rounding.  The best iterate is returned, and
+`SdpSolution.stats["stop"]` records why the loop ended.  Every optimal
+solve then gets a face polish (`_polish`), also one that ended at its
+floor rather than at eps: the wheel certificates of acceptance criterion
+4 need the face-exact eigenvalues it gives.  The polish solves its primal
+half first and rejects a round that fails there without building or
+solving the dual half.
+
 LPs are delegated to scipy's HiGHS interface.
 
 scipy is imported where it is called (`cho_solve` at the top of
@@ -43,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from enum import Enum
 from time import perf_counter
 from typing import Optional, Sequence
@@ -224,7 +236,13 @@ class SdpSolution:
     # "time" holds seconds per phase ("scaling", "schur" build and factor,
     # "newton" solves with refinement, "step", "corrector", "polish"), and
     # "iters", "best_iter" (the iteration of the returned iterate),
-    # "refine_rounds" (total) and "jitter" (largest used) the rest
+    # "refine_rounds" (total) and "jitter" (largest used) the rest; "stop"
+    # says why the loop ended: "optimal" (eps met), "floor" (the score
+    # bounced above 10x its best once the best was under 1e-6),
+    # "step_stall" (three centering steps of no length), "lost_interiority"
+    # (an iterate left the cone), "schur_failed" (no jitter made the Schur
+    # matrix factor), "primal_infeasible" or "dual_infeasible" (a Farkas
+    # ray met eps) or "max_iter"
     stats: dict = field(default_factory=dict)
 
     def block(self, ref: BlockRef):
@@ -480,48 +498,79 @@ def _resolve_tol(tol) -> float:
     return float(tol)
 
 
-def _face_columns(blk: _Block, U: np.ndarray):
-    """svec columns spanning {U M U^H} for a hermitian parameter basis of M.
+def _face_params(kind: str, r: int) -> int:
+    """Number of real parameters of an r x r face matrix of a block."""
+    return r * r if kind == "hpsd" else r * (r + 1) // 2
 
-    Returns the (size, n_params) column matrix together with the pattern
-    needed to rebuild M from a parameter vector.
+
+@lru_cache(maxsize=None)
+def _face_layout(kind: str, r: int):
+    """Parameter layout of an r x r hermitian face matrix M.
+
+    The pairs (a, b), a <= b, run in row-major order, and pair k owns
+    parameter p[k]: M[a, a] on the diagonal, the real part of M[a, b] off
+    it.  In an hpsd block an off-diagonal pair also owns parameter p[k] + 1,
+    the imaginary part of M[a, b].  Returns (a, b, p, off), off marking the
+    off-diagonal pairs, as read-only arrays shared by every caller (one
+    entry per block kind and face rank in use).
     """
-    d = U.shape[1]
-    cols = []
-    pattern = []
-    for a in range(d):
-        for bb in range(a, d):
-            if a == bb:
-                Mt = np.outer(U[:, a], U[:, a].conj())
-                cols.append(blk.svec(Mt))
-                pattern.append((a, bb, "d"))
-            else:
-                Mt = np.outer(U[:, a], U[:, bb].conj())
-                Mt = Mt + Mt.conj().T
-                cols.append(blk.svec(Mt))
-                pattern.append((a, bb, "re"))
-                if blk.kind == "hpsd":
-                    Mt = 1j * np.outer(U[:, a], U[:, bb].conj())
-                    Mt = Mt + Mt.conj().T
-                    cols.append(blk.svec(Mt))
-                    pattern.append((a, bb, "im"))
-    if cols:
-        return np.stack(cols, axis=1), pattern
-    return np.zeros((blk.size, 0)), pattern
+    a, b = np.triu_indices(r)
+    off = a != b
+    if kind == "hpsd":
+        width = np.where(off, 2, 1)
+        p = np.cumsum(width) - width
+    else:
+        p = np.arange(len(a))
+    for arr in (a, b, p, off):
+        arr.flags.writeable = False
+    return a, b, p, off
 
 
-def _rebuild_face(blk: _Block, U: np.ndarray, params, pattern):
-    d = U.shape[1]
-    M = np.zeros((d, d), dtype=complex if blk.kind == "hpsd" else float)
-    for val, (a, bb, kindp) in zip(params, pattern):
-        if kindp == "d":
-            M[a, a] += val
-        elif kindp == "re":
-            M[a, bb] += val
-            M[bb, a] += val
-        else:
-            M[a, bb] += 1j * val
-            M[bb, a] += -1j * val
+# face columns are built this many stacked matrix entries at a time, which
+# bounds the temporaries when a face of a large Gram block has many pairs
+_FACE_CHUNK = 1 << 16
+
+
+def _face_columns(blk: _Block, U: np.ndarray) -> np.ndarray:
+    """svec columns spanning {U M U^H} for M hermitian: the (size, params)
+    matrix whose column j is svec of U E_j U^H, E_j the basis matrix of
+    parameter j of _face_layout."""
+    r = U.shape[1]
+    a, b, p, off = _face_layout(blk.kind, r)
+    herm = blk.kind == "hpsd"
+    cols = np.zeros((blk.size, _face_params(blk.kind, r)))
+    Ut = U.T
+    step = max(1, _FACE_CHUNK // max(1, U.shape[0] ** 2))
+    for k in range(0, len(a), step):
+        ks = slice(k, k + step)
+        Ub = Ut[b[ks]].conj() if herm else Ut[b[ks]]
+        O = Ut[a[ks]][:, :, None] * Ub[:, None, :]  # outer(U[:, a], U[:, b]^*)
+        E = O + (O.conj() if herm else O).swapaxes(1, 2)
+        dg = ~off[ks]
+        E[dg] = O[dg]
+        cols[:, p[ks]] = blk.svec(E).T
+        ko = off[ks]
+        if herm and ko.any():
+            Oi = 1j * O[ko]
+            cols[:, p[ks][ko] + 1] = blk.svec(Oi + Oi.conj().swapaxes(1, 2)).T
+    return cols
+
+
+def _rebuild_face(blk: _Block, U: np.ndarray, params):
+    """The face point U M U^H and M itself for the parameter vector params
+    of _face_layout."""
+    r = U.shape[1]
+    a, b, p, off = _face_layout(blk.kind, r)
+    herm = blk.kind == "hpsd"
+    M = np.zeros((r, r), dtype=complex if herm else float)
+    M[a, b] += params[p]  # the diagonal and the real upper triangle
+    if r > 1:
+        ao, bo, po = a[off], b[off], p[off]
+        M[bo, ao] += params[po]
+        if herm:
+            v = params[po + 1]
+            M[ao, bo] += 1j * v
+            M[bo, ao] += -1j * v
     return U @ M @ U.conj().T, M
 
 
@@ -532,13 +581,31 @@ def _relgap(w, rank):
     return (w[d - rank] - w[d - rank - 1]) / max(w[-1], 1e-300)
 
 
-def _split_lstsq(Ap, bp, Ad, bd):
-    """Minimum-norm least-squares solution of diag(Ap, Ad) z = (bp, bd)."""
-    return np.concatenate([np.linalg.lstsq(Ap, bp, rcond=None)[0],
-                           np.linalg.lstsq(Ad, bd, rcond=None)[0]])
+def _rebuild_half(blocks, sl, faces, supports, params, total, scale):
+    """One half of a polish round: the vector (x or s) whose face matrices
+    and nn supports take params in order, or None when a face matrix or an
+    nn entry leaves its cone."""
+    v = np.zeros(total)
+    col = 0
+    for i, W in faces:
+        n = _face_params(blocks[i].kind, W.shape[1])
+        V, M = _rebuild_face(blocks[i], W, params[col : col + n])
+        v[sl[i]] = blocks[i].svec(V)
+        if n:
+            w = np.linalg.eigvalsh(M)
+            if w[0] < -1e-8 * (1.0 + w[-1]):
+                return None
+        col += n
+    for i, idxs in supports:
+        vals = params[col : col + len(idxs)]
+        if len(idxs) and float(np.min(vals)) < -1e-8 * scale:
+            return None
+        v[sl[i].start + idxs] = vals
+        col += len(idxs)
+    return v
 
 
-def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
+def _polish(blocks, sl, A, F, b, c, c_f, x, y, old_score, bnorm, cnorm):
     """Refine an optimal iterate on its detected optimal face.
 
     Interior-point iterates near a degenerate optimum carry variable errors
@@ -549,8 +616,14 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
     feasibility restricted to that face.  That system is block-diagonal
     (primal face, nn-support and free columns meet only the m equality
     rows; y, dual face and dual nn columns only the dual rows), so its two
-    halves are solved separately.  The result is accepted only if its
-    recomputed residuals and cone feasibility beat the incoming iterate.
+    halves are solved separately, primal first: the primal residual, faces
+    and supports depend on the primal half alone, so a round whose primal
+    half fails its cone check or misses the incoming score is rejected
+    before the dual columns are built or solved.  A round is accepted only
+    if its recomputed residuals and cone feasibility beat the incoming
+    iterate.  solve_sdp polishes every optimal solve, also one that ended
+    at its floor or stalled: the wheel certificates of acceptance criterion
+    4 need the face-exact dual eigenvalues that only the polish gives.
 
     Returns (outcome, result): outcome is "accepted", "rejected" or
     "skipped_size" (the joint system is too large to solve), and result is
@@ -559,17 +632,16 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
     m, total = A.shape
     kf = F.shape[1]
     rows_n = m + total + kf
+    bound = max(old_score, 1e-10)
     best = None
     skipped = False
-    x_cur, u_cur, y_cur = x, u, y
+    x_cur, y_cur = x, y
     for _ in range(2):
         s_imp = c - A.T @ y_cur
         xinf = 1.0 + float(np.max(np.abs(x_cur))) if total else 1.0
         sinf = 1.0 + float(np.max(np.abs(s_imp))) if total else 1.0
-        prim = []  # (block index, columns, pattern, U)
-        dual = []
-        nn_act = {}
-        nn_dual = {}
+        prim, dual = [], []  # (block index, face basis)
+        nn_act, nn_dual = [], []  # (block index, support)
         ncols_p = kf  # primal half: faces, pnn, u
         ncols_d = m  # dual half: y, dual faces, dnn
         for i, blk in enumerate(blocks):
@@ -577,15 +649,13 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
             sb = s_imp[sl[i]]
             if blk.kind == "nn":
                 act = xb > sb
-                nn_act[i] = np.where(act)[0]
-                nn_dual[i] = np.where(~act)[0]
-                ncols_p += len(nn_act[i])
-                ncols_d += len(nn_dual[i])
+                nn_act.append((i, np.where(act)[0]))
+                nn_dual.append((i, np.where(~act)[0]))
+                ncols_p += len(nn_act[-1][1])
+                ncols_d += len(nn_dual[-1][1])
                 continue
-            Xb = blk.smat(xb)
-            Sb = blk.smat(sb)
-            wX, VX = np.linalg.eigh(Xb)
-            wS, VS = np.linalg.eigh(Sb)
+            wX, VX = np.linalg.eigh(blk.smat(xb))
+            wS, VS = np.linalg.eigh(blk.smat(sb))
             mX = (
                 int(np.count_nonzero(wX > 1e-4 * wX[-1]))
                 if wX[-1] > 1e-9 * xinf
@@ -610,79 +680,52 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
             else:
                 U = VX[:, blk.d - mX :]
                 V = VX[:, : blk.d - mX]
-            cU, pU = _face_columns(blk, U)
-            cV, pV = _face_columns(blk, V)
-            prim.append((i, cU, pU, U))
-            dual.append((i, cV, pV, V))
-            ncols_p += cU.shape[1]
-            ncols_d += cV.shape[1]
+            prim.append((i, U))
+            dual.append((i, V))
+            ncols_p += _face_params(blk.kind, U.shape[1])
+            ncols_d += _face_params(blk.kind, V.shape[1])
         if rows_n * (ncols_p + ncols_d) > 4.0e7:
             skipped = True
             break
+
+        # primal half: A x(faces, pnn) + F u = b
         Ap = np.zeros((m, ncols_p))
-        Ad = np.zeros((total + kf, ncols_d))
-        spans = {}
         col = 0
-        for i, cU, pU, U in prim:
-            nMi = cU.shape[1]
-            Ap[:, col : col + nMi] = A[:, sl[i]] @ cU
-            spans[("P", i)] = (col, nMi)
-            col += nMi
-        for i, idxs in nn_act.items():
+        for i, U in prim:
+            cU = _face_columns(blocks[i], U)
+            Ap[:, col : col + cU.shape[1]] = A[:, sl[i]] @ cU
+            col += cU.shape[1]
+        for i, idxs in nn_act:
             Ap[:, col : col + len(idxs)] = A[:, sl[i].start + idxs]
-            spans[("pnn", i)] = (col, len(idxs))
             col += len(idxs)
         Ap[:, col:] = F
-        # dual columns follow the primal ones in params, y first
+        zp = np.linalg.lstsq(Ap, b, rcond=None)[0]
+        x2 = _rebuild_half(blocks, sl, prim, nn_act, zp, total, xinf)
+        if x2 is None:
+            break
+        u2 = zp[ncols_p - kf :]
+        pres2 = float(np.linalg.norm(A @ x2 + F @ u2 - b)) / bnorm
+        if pres2 > bound:
+            break
+
+        # dual half: A^T y + s(faces, dnn) = c, F^T y = c_f
+        Ad = np.zeros((total + kf, ncols_d))
         Ad[:total, :m] = A.T
         Ad[total:, :m] = F.T
         col = m
-        for i, cV, pV, V in dual:
-            nNi = cV.shape[1]
-            Ad[sl[i], col : col + nNi] = cV
-            spans[("D", i)] = (ncols_p + col, nNi)
-            col += nNi
-        for i, idxs in nn_dual.items():
+        for i, V in dual:
+            cV = _face_columns(blocks[i], V)
+            Ad[sl[i], col : col + cV.shape[1]] = cV
+            col += cV.shape[1]
+        for i, idxs in nn_dual:
             Ad[sl[i].start + idxs, col + np.arange(len(idxs))] = 1.0
-            spans[("dnn", i)] = (ncols_p + col, len(idxs))
             col += len(idxs)
-        params = _split_lstsq(Ap, b, Ad, np.concatenate([c, c_f]))
+        zd = np.linalg.lstsq(Ad, np.concatenate([c, c_f]), rcond=None)[0]
+        y2 = zd[:m]
+        s2 = _rebuild_half(blocks, sl, dual, nn_dual, zd[m:], total, sinf)
+        if s2 is None:
+            break
 
-        x2 = np.zeros(total)
-        s2 = np.zeros(total)
-        feas_ok = True
-        for i, cU, pU, U in prim:
-            c0, nMi = spans[("P", i)]
-            X2, M2 = _rebuild_face(blocks[i], U, params[c0 : c0 + nMi], pU)
-            x2[sl[i]] = blocks[i].svec(X2)
-            if nMi:
-                wM = np.linalg.eigvalsh(M2)
-                if wM[0] < -1e-8 * (1.0 + wM[-1]):
-                    feas_ok = False
-        for i, cV, pV, V in dual:
-            c0, nNi = spans[("D", i)]
-            S2, N2 = _rebuild_face(blocks[i], V, params[c0 : c0 + nNi], pV)
-            s2[sl[i]] = blocks[i].svec(S2)
-            if nNi:
-                wN = np.linalg.eigvalsh(N2)
-                if wN[0] < -1e-8 * (1.0 + wN[-1]):
-                    feas_ok = False
-        for i, idxs in nn_act.items():
-            c0, ni = spans[("pnn", i)]
-            vals = params[c0 : c0 + ni]
-            if ni and float(np.min(vals)) < -1e-8 * xinf:
-                feas_ok = False
-            x2[np.asarray(sl[i].start + idxs, dtype=int)] = vals
-        for i, idxs in nn_dual.items():
-            c0, ni = spans[("dnn", i)]
-            vals = params[c0 : c0 + ni]
-            if ni and float(np.min(vals)) < -1e-8 * sinf:
-                feas_ok = False
-            s2[np.asarray(sl[i].start + idxs, dtype=int)] = vals
-        u2 = params[ncols_p - kf : ncols_p]
-        y2 = params[ncols_p : ncols_p + m]
-
-        pres2 = float(np.linalg.norm(A @ x2 + F @ u2 - b)) / bnorm
         dres2 = (
             float(np.linalg.norm(A.T @ y2 + s2 - c))
             + float(np.linalg.norm(F.T @ y2 - c_f))
@@ -691,12 +734,11 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, u, y, old_score, bnorm, cnorm):
         dobj = float(b @ y2)
         gap2 = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         score2 = max(pres2, dres2, gap2)
-        if feas_ok and score2 <= max(old_score, 1e-10):
-            if best is None or score2 < best[-1]:
-                best = (x2, s2, u2, y2, pres2, dres2, gap2, score2)
-            x_cur, u_cur, y_cur = x2, u2, y2
-        else:
+        if score2 > bound:
             break
+        if best is None or score2 < best[-1]:
+            best = (x2, s2, u2, y2, pres2, dres2, gap2, score2)
+        x_cur, y_cur = x2, y2
     if best is None:
         return ("skipped_size" if skipped else "rejected"), None
     return "accepted", best[:7]
@@ -741,9 +783,9 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
     best_score = np.inf
     best_state = None
     best_it = 0
-    worse = 0
     stall = 0
     status = SdpStatus.STALLED
+    stop = "max_iter"
     it = 0
     phase_s = dict.fromkeys(
         ("scaling", "schur", "newton", "step", "corrector", "polish"), 0.0
@@ -789,14 +831,14 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             best_state = (x.copy(), s.copy(), y.copy(), u.copy(), tau, kappa,
                           pres, dres, gap)
             best_it = it
-            worse = 0
         elif best_score < 1e-6 and score > 10 * best_score:
-            # numerical floor of the Schur solve reached; stop degrading
-            worse += 1
-            if worse >= 2:
-                break
+            # the first bounce off the numerical floor of the Schur solve:
+            # later iterates only rarely beat the best one, by rounding
+            stop = "floor"
+            break
         if score <= eps:
             status = SdpStatus.OPTIMAL
+            stop = "optimal"
             break
 
         # -- infeasibility certificates from the homogeneous iterate
@@ -814,6 +856,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
                 best_inf_data["p"] = (y / by, s / by)
             if q <= eps * 1e2:
                 status = SdpStatus.PRIMAL_INFEASIBLE
+                stop = "primal_infeasible"
                 break
         cx = c @ x + c_f @ u
         if -cx > 0:
@@ -823,6 +866,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
                 best_inf_data["d"] = (x / -cx, u / -cx)
             if q <= eps * 1e2:
                 status = SdpStatus.DUAL_INFEASIBLE
+                stop = "dual_infeasible"
                 break
 
         # -- NT scalings and Schur complement, one stacked call per group
@@ -831,7 +875,8 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             scal = [_Scaling(grp.blk.kind, grp.mats(x), grp.mats(s))
                     for grp in groups]
         except np.linalg.LinAlgError:
-            break  # lost interiority; report stalled with best iterate
+            stop = "lost_interiority"  # report stalled with best iterate
+            break
         xinv = np.concatenate([grp.vec(sc.xinv()) for grp, sc in zip(groups, scal)])
         lap("scaling")
         WAW_rows = np.empty((m, N))
@@ -857,6 +902,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             except np.linalg.LinAlgError:
                 jitter = max(jitter * 10, 1e-14 * max(base, 1.0))
         else:
+            stop = "schur_failed"
             break
         max_jitter = max(max_jitter, jitter)
 
@@ -993,6 +1039,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             if alpha <= 1e-10:
                 stall += 1
                 if stall >= 3:
+                    stop = "step_stall"
                     break
                 continue
         stall = 0
@@ -1051,7 +1098,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
     polish = "not_run"
     if status is SdpStatus.OPTIMAL:
         mark = perf_counter()
-        polish, pol = _polish(blocks, sl, A, F, b, c, c_f, xs, us, ys,
+        polish, pol = _polish(blocks, sl, A, F, b, c, c_f, xs, ys,
                               max(pres, dres, gap), bnorm, cnorm)
         lap("polish")
         if pol is not None:
@@ -1075,7 +1122,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
         certificate=certificate,
         stats={"polish": polish, "m": m, "N": N,
                "blocks": [[blk.kind, blk.d] for blk in blocks],
-               "time": phase_s, "iters": it, "best_iter": best_it,
+               "time": phase_s, "iters": it, "best_iter": best_it, "stop": stop,
                "refine_rounds": refine_rounds,
                "jitter": max_jitter},
     )

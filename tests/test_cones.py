@@ -22,6 +22,7 @@ from conekit.cones import (
     verify_gram,
 )
 from conekit.linalg import inner
+from conekit.optim import solve_sdp
 
 
 def rand_psd(rng, n, k=None):
@@ -274,6 +275,22 @@ def test_dual_separation_values():
     d2 = in_kr_dual(berman_matrix(), 2)
     assert d2.status is Verdict.NON_MEMBER
     assert d2.value == pytest.approx(-0.011644070900366, abs=1e-7)
+
+
+def test_berman_dual_solve_stops_at_its_first_bounce(monkeypatch):
+    sols = []
+
+    def spy(prob, tol=None):
+        sol = solve_sdp(prob, tol)
+        sols.append(sol)
+        return sol
+
+    monkeypatch.setattr(cones, "solve_sdp", spy)
+    d1 = in_kr_dual(berman_matrix(), 1)
+    assert len(sols) == 1
+    stats = sols[0].stats
+    assert (stats["stop"], stats["best_iter"], stats["iters"]) == ("floor", 12, 13)
+    assert d1.value == pytest.approx(-0.011600590846556, abs=1e-9)
 
 
 def test_dual_of_factorizable_matrix_all_levels():

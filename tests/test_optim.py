@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, solve_triangular
 
-from conekit import cones, optim
+from conekit import cones, graphs, optim
 from conekit.linalg import Tolerance
 from conekit.optim import (
     SdpProblem,
@@ -287,15 +287,249 @@ def test_step_length_nn_ratio_test():
     assert sc.max_step(np.ones(3), np.zeros(3)) == np.inf
 
 
-def _polish_run(monkeypatch, M, r, lstsq):
-    """is_kr with the polish's least-squares solve replaced by lstsq;
-    returns the solve's polish outcome and the first polish parameters."""
+# -- the face polish -------------------------------------------------------
+# The loop helpers and the two-half _polish flow as they were before the
+# polish solved its primal half first; kept as the reference the current
+# code must match bit for bit.
+
+
+def _loop_face_columns(blk, U):
+    d = U.shape[1]
+    cols = []
+    pattern = []
+    for a in range(d):
+        for bb in range(a, d):
+            if a == bb:
+                Mt = np.outer(U[:, a], U[:, a].conj())
+                cols.append(blk.svec(Mt))
+                pattern.append((a, bb, "d"))
+            else:
+                Mt = np.outer(U[:, a], U[:, bb].conj())
+                Mt = Mt + Mt.conj().T
+                cols.append(blk.svec(Mt))
+                pattern.append((a, bb, "re"))
+                if blk.kind == "hpsd":
+                    Mt = 1j * np.outer(U[:, a], U[:, bb].conj())
+                    Mt = Mt + Mt.conj().T
+                    cols.append(blk.svec(Mt))
+                    pattern.append((a, bb, "im"))
+    if cols:
+        return np.stack(cols, axis=1), pattern
+    return np.zeros((blk.size, 0)), pattern
+
+
+def _loop_rebuild_face(blk, U, params, pattern):
+    d = U.shape[1]
+    M = np.zeros((d, d), dtype=complex if blk.kind == "hpsd" else float)
+    for val, (a, bb, kindp) in zip(params, pattern):
+        if kindp == "d":
+            M[a, a] += val
+        elif kindp == "re":
+            M[a, bb] += val
+            M[bb, a] += val
+        else:
+            M[a, bb] += 1j * val
+            M[bb, a] += -1j * val
+    return U @ M @ U.conj().T, M
+
+
+def _split_lstsq(Ap, bp, Ad, bd):
+    return np.concatenate([np.linalg.lstsq(Ap, bp, rcond=None)[0],
+                           np.linalg.lstsq(Ad, bd, rcond=None)[0]])
+
+
+def _joint_lstsq(Ap, bp, Ad, bd):
+    A = block_diag(Ap, Ad)
+    return np.linalg.lstsq(A, np.concatenate([bp, bd]), rcond=None)[0]
+
+
+def _reference_polish(blocks, sl, A, F, b, c, c_f, x, y, old_score, bnorm,
+                      cnorm, lstsq=_split_lstsq, record=None):
+    """Both halves of every round built and solved before any check;
+    record collects each round's parameter vector."""
+    m, total = A.shape
+    kf = F.shape[1]
+    rows_n = m + total + kf
+    best = None
+    skipped = False
+    x_cur, y_cur = x, y
+    for _ in range(2):
+        s_imp = c - A.T @ y_cur
+        xinf = 1.0 + float(np.max(np.abs(x_cur))) if total else 1.0
+        sinf = 1.0 + float(np.max(np.abs(s_imp))) if total else 1.0
+        prim, dual, nn_act, nn_dual = [], [], {}, {}
+        ncols_p, ncols_d = kf, m
+        for i, blk in enumerate(blocks):
+            xb, sb = x_cur[sl[i]], s_imp[sl[i]]
+            if blk.kind == "nn":
+                act = xb > sb
+                nn_act[i], nn_dual[i] = np.where(act)[0], np.where(~act)[0]
+                ncols_p += len(nn_act[i])
+                ncols_d += len(nn_dual[i])
+                continue
+            wX, VX = np.linalg.eigh(blk.smat(xb))
+            wS, VS = np.linalg.eigh(blk.smat(sb))
+            mX = (int(np.count_nonzero(wX > 1e-4 * wX[-1]))
+                  if wX[-1] > 1e-9 * xinf else 0)
+            nS = (int(np.count_nonzero(wS > 1e-4 * wS[-1]))
+                  if wS[-1] > 1e-9 * sinf else 0)
+            use_S = False
+            if mX == 0 and nS > 0:
+                use_S = True
+            elif nS > 0:
+                use_S = optim._relgap(wS, nS) > optim._relgap(wX, mX)
+            if use_S:
+                U, V = VS[:, : blk.d - nS], VS[:, blk.d - nS :]
+            else:
+                U, V = VX[:, blk.d - mX :], VX[:, : blk.d - mX]
+            cU, pU = _loop_face_columns(blk, U)
+            cV, pV = _loop_face_columns(blk, V)
+            prim.append((i, cU, pU, U))
+            dual.append((i, cV, pV, V))
+            ncols_p += cU.shape[1]
+            ncols_d += cV.shape[1]
+        if rows_n * (ncols_p + ncols_d) > 4.0e7:
+            skipped = True
+            break
+        Ap = np.zeros((m, ncols_p))
+        Ad = np.zeros((total + kf, ncols_d))
+        spans = {}
+        col = 0
+        for i, cU, pU, U in prim:
+            Ap[:, col : col + cU.shape[1]] = A[:, sl[i]] @ cU
+            spans[("P", i)] = (col, cU.shape[1])
+            col += cU.shape[1]
+        for i, idxs in nn_act.items():
+            Ap[:, col : col + len(idxs)] = A[:, sl[i].start + idxs]
+            spans[("pnn", i)] = (col, len(idxs))
+            col += len(idxs)
+        Ap[:, col:] = F
+        Ad[:total, :m] = A.T
+        Ad[total:, :m] = F.T
+        col = m
+        for i, cV, pV, V in dual:
+            Ad[sl[i], col : col + cV.shape[1]] = cV
+            spans[("D", i)] = (ncols_p + col, cV.shape[1])
+            col += cV.shape[1]
+        for i, idxs in nn_dual.items():
+            Ad[sl[i].start + idxs, col + np.arange(len(idxs))] = 1.0
+            spans[("dnn", i)] = (ncols_p + col, len(idxs))
+            col += len(idxs)
+        params = lstsq(Ap, b, Ad, np.concatenate([c, c_f]))
+        if record is not None:
+            record.append(params)
+        x2, s2 = np.zeros(total), np.zeros(total)
+        feas_ok = True
+        for tag, faces, vec in (("P", prim, x2), ("D", dual, s2)):
+            for i, _, pat, W in faces:
+                c0, n = spans[(tag, i)]
+                V2, M2 = _loop_rebuild_face(blocks[i], W, params[c0 : c0 + n], pat)
+                vec[sl[i]] = blocks[i].svec(V2)
+                if n:
+                    w = np.linalg.eigvalsh(M2)
+                    if w[0] < -1e-8 * (1.0 + w[-1]):
+                        feas_ok = False
+        for tag, sup, vec, scale in (("pnn", nn_act, x2, xinf),
+                                     ("dnn", nn_dual, s2, sinf)):
+            for i, idxs in sup.items():
+                c0, n = spans[(tag, i)]
+                vals = params[c0 : c0 + n]
+                if n and float(np.min(vals)) < -1e-8 * scale:
+                    feas_ok = False
+                vec[np.asarray(sl[i].start + idxs, dtype=int)] = vals
+        u2 = params[ncols_p - kf : ncols_p]
+        y2 = params[ncols_p : ncols_p + m]
+        pres2 = float(np.linalg.norm(A @ x2 + F @ u2 - b)) / bnorm
+        dres2 = (float(np.linalg.norm(A.T @ y2 + s2 - c))
+                 + float(np.linalg.norm(F.T @ y2 - c_f))) / cnorm
+        pobj = float(c @ x2 + c_f @ u2)
+        dobj = float(b @ y2)
+        gap2 = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        score2 = max(pres2, dres2, gap2)
+        if feas_ok and score2 <= max(old_score, 1e-10):
+            if best is None or score2 < best[-1]:
+                best = (x2, s2, u2, y2, pres2, dres2, gap2, score2)
+            x_cur, y_cur = x2, y2
+        else:
+            break
+    if best is None:
+        return ("skipped_size" if skipped else "rejected"), None
+    return "accepted", best[:7]
+
+
+@pytest.mark.parametrize("chunk", [optim._FACE_CHUNK, 40])
+@pytest.mark.parametrize("kind", ["psd", "hpsd"])
+def test_face_helpers_match_loops(monkeypatch, kind, chunk):
+    # a chunk of 40 entries splits the faces of d >= 3 into several chunks
+    monkeypatch.setattr(optim, "_FACE_CHUNK", chunk)
+    rng = np.random.default_rng(41)
+    for d in range(1, 13):
+        blk = optim._Block(kind, d)
+        _, Q = np.linalg.eigh(_random_herm(rng, d, kind))
+        for r in range(d + 1):
+            # the polish's faces: trailing or leading eigenvector columns
+            for U in (Q[:, d - r :], Q[:, : r]):
+                ref, pattern = _loop_face_columns(blk, U)
+                cols = optim._face_columns(blk, U)
+                assert cols.shape == ref.shape == (blk.size,
+                                                   optim._face_params(kind, r))
+                assert cols.tobytes() == ref.tobytes()
+                params = rng.standard_normal(ref.shape[1])
+                for got, want in zip(optim._rebuild_face(blk, U, params),
+                                     _loop_rebuild_face(blk, U, params, pattern)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+
+def _kr_member_n12():
+    """perfbench's is_kr r = 1, n = 12 member instance, unscaled."""
+    rng = np.random.default_rng([7201, 1, 1])
+    n = 12
+    Q = rng.normal(size=(n, n // 2))
+    N = np.abs(rng.normal(size=(n, n))) * (rng.random((n, n)) < 0.3)
+    N = (N + N.T) / 2
+    return Q @ Q.T / (n // 2) + N - np.diag(np.diag(N)) + 0.1 * np.eye(n)
+
+
+@pytest.mark.parametrize(
+    "run, outcome",
+    [(lambda: cones.is_kr(cones.horn_matrix(), 1), "rejected"),
+     (lambda: cones.is_kr(np.eye(5) + np.ones((5, 5)), 1), "accepted"),
+     (lambda: graphs.sigma(graphs.catalog("wheel6"), strategy="sdp"), "accepted"),
+     (lambda: cones.is_kr(_kr_member_n12(), 1), "rejected")],
+    ids=["horn", "identity-plus-ones", "wheel6-sigma", "kr-r1-n12-member"],
+)
+def test_split_polish_matches_joint_lstsq(monkeypatch, request, run, outcome):
+    """Each polish equals the reference flow bit for bit; the accepted
+    parameters of I + J also match one joint least-squares solve."""
+    case = request.node.callspec.id
+    lstsq = np.linalg.lstsq
     calls = []
 
-    def recording(Ap, bp, Ad, bd):
-        out = lstsq(Ap, bp, Ad, bd)
-        calls.append(out)
-        return out
+    def counting(*args, **kw):
+        calls.append(1)
+        return lstsq(*args, **kw)
+
+    seen = []
+    polish = optim._polish
+
+    def checked(*args):
+        calls.clear()
+        got = polish(*args)
+        n_lstsq = len(calls)
+        split = []
+        want = _reference_polish(*args, record=split)
+        assert got[0] == want[0]
+        assert (got[1] is None) == (want[1] is None)
+        for a, w in zip(got[1] or (), want[1] or ()):
+            assert np.asarray(a).tobytes() == np.asarray(w).tobytes()
+        if case == "identity-plus-ones":
+            joint = []
+            _reference_polish(*args, lstsq=_joint_lstsq, record=joint)
+            assert (np.linalg.norm(split[0] - joint[0])
+                    <= 1e-6 * np.linalg.norm(joint[0]))
+        seen.append((got[0], n_lstsq))
+        return got
 
     sols = []
 
@@ -304,28 +538,17 @@ def _polish_run(monkeypatch, M, r, lstsq):
         sols.append(sol)
         return sol
 
-    monkeypatch.setattr(optim, "_split_lstsq", recording)
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    monkeypatch.setattr(optim, "_polish", checked)
     monkeypatch.setattr(cones, "solve_sdp", spy)
-    cones.is_kr(M, r)
-    assert len(sols) == 1 and calls
-    return sols[0].stats["polish"], calls[0]
-
-
-def _joint_lstsq(Ap, bp, Ad, bd):
-    A = block_diag(Ap, Ad)
-    return np.linalg.lstsq(A, np.concatenate([bp, bd]), rcond=None)[0]
-
-
-@pytest.mark.parametrize(
-    "M, outcome",
-    [(cones.horn_matrix(), "rejected"), (np.eye(5) + np.ones((5, 5)), "accepted")],
-    ids=["horn", "identity-plus-ones"],
-)
-def test_split_polish_matches_joint_lstsq(monkeypatch, M, outcome):
-    split = _polish_run(monkeypatch, M, 1, optim._split_lstsq)
-    joint = _polish_run(monkeypatch, M, 1, _joint_lstsq)
-    assert split[0] == joint[0] == outcome
-    assert np.linalg.norm(split[1] - joint[1]) <= 1e-6 * np.linalg.norm(joint[1])
+    monkeypatch.setattr(graphs, "solve_sdp", spy)
+    run()
+    assert len(sols) == len(seen) == 1
+    assert seen[0][0] == sols[0].stats["polish"] == outcome
+    if case == "wheel6-sigma":
+        assert sols[0].stats["stop"] == "floor"  # polished after a stall
+    if case == "kr-r1-n12-member":
+        assert seen[0][1] == 1  # rejected on its primal half alone
 
 
 def test_solution_stats():
@@ -367,6 +590,57 @@ def test_best_iter_records_the_returned_iterate():
         loose = solve_sdp(p, 1e-6)
         assert loose.optimal
         assert loose.stats["best_iter"] == loose.stats["iters"]
+
+
+def test_stop_reasons():
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((4, 4))
+    p, _ = min_eig_problem(M + M.T)
+    assert solve_sdp(p, 1e-6).stats["stop"] == "optimal"
+    assert solve_sdp(p).stats["stop"] == "floor"
+    p = SdpProblem()
+    X = p.add_psd(3)
+    p.add_eq(1.0, (X, np.eye(3)))
+    p.add_eq(-2.0, (X, np.diag([1.0, 1.0, 2.0])))
+    assert solve_sdp(p).stats["stop"] == "primal_infeasible"
+    p = SdpProblem()
+    X = p.add_psd(2)
+    E = np.zeros((2, 2))
+    E[0, 1] = E[1, 0] = 0.5
+    p.add_eq(1.0, (X, E))
+    p.set_cost(X, np.diag([-1.0, 0.0]))
+    assert solve_sdp(p).stats["stop"] == "dual_infeasible"
+
+
+def _printed_scores(out):
+    """Per-iteration max(pres, dres, gap) from a verbose solve's lines."""
+    scores = []
+    for line in out.splitlines():
+        f = line.split()
+        scores.append(max(float(f[f.index(k) + 1]) for k in ("pres", "dres", "gap")))
+    return scores
+
+
+def test_floor_stop_is_the_first_bounce(capsys):
+    problems = []
+    for seed in range(6):
+        M = np.random.default_rng(seed).standard_normal((6, 6))
+        problems.append(min_eig_problem(M + M.T)[0])
+    problems += [_pdec_shaped_problem(False)[0], _pdec_shaped_problem(True)[0]]
+    floors = 0
+    for p in problems:
+        sol = solve_sdp(p, verbose=True)
+        scores = _printed_scores(capsys.readouterr().out)
+        it, best = sol.stats["iters"], sol.stats["best_iter"]
+        assert len(scores) == it
+        if sol.stats["stop"] != "floor":
+            continue
+        floors += 1
+        assert best < it
+        # the verbose lines round to three digits, hence the 1 % allowance
+        assert scores[-1] > 10 * scores[best - 1] * 0.99
+        assert all(sc <= 10 * scores[best - 1] * 1.01 for sc in scores[best:-1])
+    assert floors >= 6
 
 
 def _pdec_shaped_problem(interleave):
