@@ -39,15 +39,19 @@ solving the dual half.
 
 LPs are delegated to scipy's HiGHS interface.
 
-scipy is imported where it is called (`cho_solve` at the top of
+scipy is imported where it is called (LAPACK's `potrs` at the top of
 `solve_sdp`, `linprog` in `solve_lp`), never at module level: importing
 `scipy.linalg` and `scipy.optimize` costs about 0.7 s in a fresh process,
 which a caller that never reaches an SDP or an LP (the closed-form `sigma`
 routes, the CLI's catalogue commands) should not pay.  The Schur solve
-stays scipy's `cho_solve` although numpy could replace it: numpy has no
-triangular solve, and applying an explicit inverse of the Cholesky factor
-instead moves `in_kr_dual(berman_matrix(), 1)` by 1.1e-7, beyond the 1e-9
-its tests assert.
+stays LAPACK's `potrs` through scipy although numpy could replace it:
+numpy has no triangular solve, and applying an explicit inverse of the
+Cholesky factor instead moves `in_kr_dual(berman_matrix(), 1)` by 1.1e-7,
+beyond the 1e-9 its tests assert.  `potrs` is bound once per solve and
+called directly on a Fortran-ordered copy of the factor, made once per
+iteration: this is the routine and arguments `cho_solve` uses, without its
+argument checks and without f2py copying the m x m factor on each of the
+Schur solves of an iteration.
 """
 
 from __future__ import annotations
@@ -471,11 +475,10 @@ class _Scaling:
         if self.nn:
             lam = min(float(np.min(dX / self.x)), float(np.min(dS / self.s)))
         else:
-            lam = np.inf
-            for Q, Qh, dM in ((self._QX, self._QXh, dX), (self._QS, self._QSh, dS)):
-                Y = Qh @ dM @ Q
-                Y = 0.5 * (Y + Y.conj().swapaxes(-1, -2))
-                lam = min(lam, float(np.min(np.linalg.eigvalsh(Y)[..., 0])))
+            # one eigvalsh over both directions; LAPACK still runs per matrix
+            Y = np.stack((self._QXh @ dX @ self._QX, self._QSh @ dS @ self._QS))
+            Y = 0.5 * (Y + Y.conj().swapaxes(-1, -2))
+            lam = float(np.min(np.linalg.eigvalsh(Y)[..., 0]))
         return np.inf if lam >= 0 else -1.0 / lam
 
     def corrector(self, dX, dS):
@@ -747,8 +750,9 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, y, old_score, bnorm, cnorm):
 def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
               verbose: bool = False) -> SdpSolution:
     """Solve the problem to relative accuracy tol (default 1e-9)."""
-    from scipy.linalg import cho_solve
+    from scipy.linalg import get_lapack_funcs
 
+    potrs = get_lapack_funcs("potrs", dtype=np.float64)
     eps = _resolve_tol(tol)
     if problem.dimension() > 10_000:
         raise ValueError("problem dimension exceeds the supported limit (10^4)")
@@ -905,9 +909,10 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             stop = "schur_failed"
             break
         max_jitter = max(max_jitter, jitter)
+        Lf = np.asfortranarray(Lm)
 
         def msolve(r):
-            return cho_solve((Lm, True), r, check_finite=False)
+            return potrs(Lf, r, lower=1)[0]
 
         def wop(vec):
             return np.concatenate(

@@ -434,16 +434,73 @@ def witness_from_cop(M, N, level: Optional[int] = None, tol=None,
     )
 
 
+_GRID = 1 << 22  # the grid of find_extendible_entangled's weight s
+
+
+def _grid_boundary(P_of, member, v1, tol):
+    """The grid index k with P_of(k / _GRID) a member and P_of((k + 1) /
+    _GRID) not, given that P_of(1) is not; returns (k, verdict at k).
+
+    Starts from the affine prediction of the dual optimum when v1, the
+    optimum at s = 1, is known (see find_extendible_entangled), else from
+    the whole grid.
+    """
+    lo, hi = 0, _GRID  # lo a member (or 0, not yet solved), hi not
+    lo_v = None
+    if v1 is not None:
+        scale = max(1.0, float(np.max(np.abs(P_of(1.0 / (1.0 - v1))))))
+        s_hat = (1.0 + tol.feas_tol * scale) / (1.0 - v1)
+        k = min(max(int(s_hat * _GRID), 1), _GRID - 1)
+        # walk outward from k with doubling steps: up past a member, down
+        # past a non-member, until the next probe leaves the bracket
+        step = 1
+        while lo < k < hi:
+            mv = member(k / _GRID)
+            if mv.status is Verdict.MEMBER:
+                lo, lo_v = k, mv
+                k += step
+            else:
+                hi = k
+                k -= step
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mv = member(mid / _GRID)
+        if mv.status is Verdict.MEMBER:
+            lo, lo_v = mid, mv
+        else:
+            hi = mid
+    if lo_v is None:
+        lo_v = member(0.0)
+        if lo_v.status is not Verdict.MEMBER:
+            raise SearchFailed("interior point failed dual-cone membership")
+    return lo, lo_v
+
+
 def find_extendible_entangled(n: int, r: int, tol=None, effort="default",
                               seed: int = 0):
     """Search for P certified level-r extendible yet entangled.
 
-    Walks the segment from the interior point I + J to the Berman matrix
-    (padded by an identity block beyond dimension 5) and takes the
-    largest mixing weight keeping dual-cone membership at level r - 2;
-    non-complete-positivity at the endpoint must be certified by an
+    Walks the segment P(s) = (1 - s) C + s P1 from C = I + J to the Berman
+    matrix P1 (padded by an identity block beyond dimension 5) and takes
+    the largest mixing weight keeping dual-cone membership at level r - 2;
+    non-complete-positivity at that point must be certified by an
     explicitly copositive witness with negative pairing.  Raises
     SearchFailed when no point satisfies both certificates.
+
+    The weight lies on the grid s = k / 2^22 (`_GRID`): when P1 is not a
+    member, s = k / 2^22 is certified a member and (k + 1) / 2^22 a
+    non-member, so where membership along the grid is monotone it is the
+    point a 22-step bisection of [0, 1] ends at.  No bisection is needed
+    to find k.  `in_kr_dual` minimizes <P, M> over
+    the section <C, M> = 1, on which <P(s), M> = (1 - s) + s <P1, M>, so
+    its optimum is exactly v*(s) = (1 - s) + s v1 with v1 the optimum at
+    s = 1.  Membership is v*(s) >= -feas_tol * scale, so the boundary is
+    s = (1 + feas_tol * scale) / (1 - v1).  The grid point below it and
+    its successor are solved to certify the pair; when solver rounding
+    puts the boundary on another grid point, the search walks outward
+    with doubling steps and bisects the bracket it finds.  The s = 0 end
+    is solved only if the search reaches it (its optimum is 1).
     """
     tol = as_tolerance(tol)
     if n < 5:
@@ -468,17 +525,9 @@ def find_extendible_entangled(n: int, r: int, tol=None, effort="default",
     if hi_v.status is Verdict.MEMBER:
         lo, lo_v = 1.0, hi_v
     else:
-        lo, hi = 0.0, 1.0
-        lo_v = member(0.0)
-        if lo_v.status is not Verdict.MEMBER:
-            raise SearchFailed("interior point failed dual-cone membership")
-        for _ in range(22):
-            mid = 0.5 * (lo + hi)
-            mv = member(mid)
-            if mv.status is Verdict.MEMBER:
-                lo, lo_v = mid, mv
-            else:
-                hi = mid
+        v1 = hi_v.value if hi_v.status is Verdict.NON_MEMBER else None
+        k, lo_v = _grid_boundary(P_of, member, v1, tol)
+        lo = k / _GRID
     P = P_of(lo)
 
     cp = cones.is_cp(P, tol=tol, effort=effort, seed=seed)

@@ -278,6 +278,33 @@ def test_step_length_stacked_group(kind):
                                        rtol=1e-8, atol=1e-10)
 
 
+def _two_call_max_step(sc, dX, dS):
+    """_Scaling.max_step with one eigvalsh call per direction, as it was
+    before both directions went into one call; kept as the reference."""
+    lam = np.inf
+    for Q, Qh, dM in ((sc._QX, sc._QXh, dX), (sc._QS, sc._QSh, dS)):
+        Y = Qh @ dM @ Q
+        Y = 0.5 * (Y + Y.conj().swapaxes(-1, -2))
+        lam = min(lam, float(np.min(np.linalg.eigvalsh(Y)[..., 0])))
+    return np.inf if lam >= 0 else -1.0 / lam
+
+
+@pytest.mark.parametrize("kind", ["psd", "hpsd"])
+def test_step_length_one_eigvalsh_matches_two_calls(kind):
+    # bit for bit: LAPACK still factors each matrix of the stack on its own
+    rng = np.random.default_rng(31)
+    for g, d in ((1, 4), (3, 1), (3, 6), (7, 10)):
+        for _ in range(3):
+            X = np.stack([_random_pd(rng, d, kind) for _ in range(g)])
+            S = np.stack([_random_pd(rng, d, kind) for _ in range(g)])
+            dX = np.stack([_random_herm(rng, d, kind) for _ in range(g)])
+            dS = np.stack([_random_herm(rng, d, kind) for _ in range(g)])
+            sc = optim._Scaling(kind, X, S)
+            # both sides, either side binding alone, and no side binding
+            for pair in ((dX, dS), (dX, S), (X, dS), (X, S)):
+                assert sc.max_step(*pair) == _two_call_max_step(sc, *pair)
+
+
 def test_step_length_nn_ratio_test():
     x = np.array([1.0, 2.0, 0.5])
     s = np.array([0.3, 1.0, 4.0])

@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conekit import cones, quantum as qt
 from conekit.cones import Verdict, berman_matrix, horn_matrix
 from conekit.graphs import catalog
-from conekit.linalg import DimensionMismatch, inner
+from conekit.linalg import DimensionMismatch, as_tolerance, inner
 from conekit.pairwise import copcp_form_value, pair_form
 
 
@@ -461,6 +463,106 @@ def test_find_extendible_entangled_level_three():
     assert inner(P, W) < -1e-7
     cop = cones.is_cop(W)
     assert cop.status is Verdict.MEMBER
+
+
+def _segment(n):
+    C = np.eye(n) + np.ones((n, n))
+    P1 = np.eye(n)
+    P1[:5, :5] = berman_matrix()
+    return lambda s: (1.0 - s) * C + s * P1
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_dual_optimum_is_affine_along_the_segment(level):
+    # <C, M> = 1 on in_kr_dual's section, so v*(s) = (1 - s) + s v*(1)
+    P_of = _segment(5)
+    v1 = cones.in_kr_dual(P_of(1.0), level).value
+    for s in (0.3, 0.7, 0.95):
+        vs = cones.in_kr_dual(P_of(s), level).value
+        assert abs(vs - ((1.0 - s) + s * v1)) < 1e-6
+
+
+def _bisection_boundary(P_of, member, v1, tol):
+    """The 22-step bisection of [0, 1] that find_extendible_entangled ran
+    before it predicted the boundary; kept as the reference."""
+    lo, hi = 0.0, 1.0
+    lo_v = member(0.0)
+    if lo_v.status is not Verdict.MEMBER:
+        raise qt.SearchFailed("interior point failed dual-cone membership")
+    for _ in range(22):
+        mid = 0.5 * (lo + hi)
+        mv = member(mid)
+        if mv.status is Verdict.MEMBER:
+            lo, lo_v = mid, mv
+        else:
+            hi = mid
+    return int(lo * qt._GRID), lo_v
+
+
+@pytest.mark.parametrize("n,r", [(5, 2), (5, 3), (6, 3)])
+def test_find_extendible_entangled_matches_bisection(monkeypatch, n, r):
+    P, certs = qt.find_extendible_entangled(n, r)
+    with monkeypatch.context() as mp:
+        mp.setattr(qt, "_grid_boundary", _bisection_boundary)
+        P_ref, ref = qt.find_extendible_entangled(n, r)
+    assert certs["s"] == ref["s"]
+    assert np.array_equal(P, P_ref)
+    assert certs["witness_source"] == ref["witness_source"]
+    assert certs["pairing"] == ref["pairing"]
+    assert certs["extendibility"].value == ref["extendibility"].value
+
+
+def test_find_extendible_entangled_solve_count(monkeypatch):
+    calls = []
+    real = cones.in_kr_dual
+
+    def spy(P, r, tol=None):
+        calls.append(r)
+        return real(P, r, tol)
+
+    monkeypatch.setattr(cones, "in_kr_dual", spy)
+    qt.find_extendible_entangled(5, 3)
+    assert calls == [1] * len(calls) and len(calls) <= 4  # 24 by bisection
+
+
+@pytest.mark.parametrize("off", [0, 1, -1, 3, -3, 40, -40, 5000, -5000, None])
+@pytest.mark.parametrize("k_star", [0, 1, 3_000_000, qt._GRID - 1])
+def test_grid_boundary_walks_to_the_last_member(off, k_star):
+    # a membership oracle with its boundary between grid points k* and
+    # k* + 1, and a prediction `off` grid points away from it (None: no
+    # optimum at s = 1 to predict from)
+    tol = as_tolerance(None)
+    s_star = (k_star + 0.5) / qt._GRID
+    solved = []
+
+    def member(s):
+        solved.append(s)
+        ok = s <= s_star
+        return SimpleNamespace(status=Verdict.MEMBER if ok else
+                               Verdict.NON_MEMBER, s=s)
+
+    v1 = None
+    if off is not None:
+        # s_hat = (1 + feas_tol * scale) / (1 - v1), scale 1 on P_of below
+        v1 = 1.0 - (1.0 + tol.feas_tol) / ((k_star + off + 0.5) / qt._GRID)
+    k, v = qt._grid_boundary(lambda s: np.zeros((2, 2)), member, v1, tol)
+    assert k == k_star and v.s == k_star / qt._GRID
+    assert len(set(solved)) == len(solved)
+    if off is None:
+        assert len(solved) <= 23  # bisection, then s = 0 if it is reached
+    else:  # doubling walk, then bisection of its bracket
+        assert len(solved) <= 2 * (abs(off) + 1).bit_length() + 2
+    if off == 0 and 0 < k_star < qt._GRID - 1:
+        assert solved == [k_star / qt._GRID, (k_star + 1) / qt._GRID]
+
+
+def test_grid_boundary_needs_a_member():
+    def member(s):
+        return SimpleNamespace(status=Verdict.UNKNOWN)
+
+    with pytest.raises(qt.SearchFailed):
+        qt._grid_boundary(lambda s: np.zeros((2, 2)), member, -1.0,
+                          as_tolerance(None))
 
 
 def test_find_extendible_entangled_small_dimension_rejected():
