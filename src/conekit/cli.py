@@ -23,8 +23,8 @@ Options shared by every subcommand:
     --tol X       feasibility tolerance (default 1e-7); the eigenvalue
                   tolerance is tol / 10
     --effort {fast,default,thorough}
-    --verify      re-check the certificates embedded in the report without
-                  re-running any optimization
+    --verify      re-check the report's certificates with certificates.check,
+                  the checker verify_pair uses; no optimization is re-run
     --out FILE    write the report to FILE in addition to stdout
 
 Matrix files hold JSON: ``{"n": 5, "real": [[...], ...]}`` for real
@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cones, graphs, pairwise, quantum
+from . import certificates, cones, graphs, pairwise, quantum
 from .cones import Effort, Verdict
 from .linalg import Tolerance, inner, min_eig
 
@@ -232,145 +232,6 @@ def _verdict_payload(v) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# certificate re-checks for --verify (no optimization re-runs)
-
-
-def _check(report: dict, name: str, ok: bool) -> None:
-    report[name] = bool(ok)
-    report["ok"] = report.get("ok", True) and bool(ok)
-
-
-def _verify_cone_verdict(v, M, tol: Tolerance) -> dict:
-    rep = {"ok": True}
-    cert = v.certificate or {}
-    n = M.shape[0]
-    scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
-    if v.status is Verdict.UNKNOWN:
-        return rep
-    if v.cone == "COP":
-        if v.status is Verdict.MEMBER:
-            _check(rep, "gram", cones.verify_gram(n, v.level, M, cert["gram"], tol))
-        else:
-            x = np.asarray(cert["vector"])
-            _check(rep, "vector_nonneg", np.min(x) >= -tol.feas_tol)
-            _check(rep, "form_negative", float(x @ M @ x) < 0)
-    elif v.cone == "SPN":
-        if v.status is Verdict.MEMBER:
-            P, E = np.asarray(cert["P"]), np.asarray(cert["E"])
-            res = np.max(np.abs(P + E - cert["shift"] * np.eye(n) - M))
-            _check(rep, "split_residual", res <= 1e3 * tol.feas_tol * scale)
-            _check(rep, "P_psd", min_eig(P) >= -1e3 * tol.eig_tol * scale)
-            _check(rep, "E_nonneg", float(np.min(E)) >= -tol.feas_tol)
-        else:
-            X = np.asarray(cert["X"])
-            _check(rep, "X_nonneg", float(np.min(X)) >= -tol.feas_tol)
-            _check(rep, "X_psd", min_eig(X) >= -1e3 * tol.eig_tol)
-            _check(rep, "pairing_negative", inner(X, np.real(M)) < 0)
-    elif v.cone.startswith("K^(") and not v.cone.endswith("*"):
-        r = v.level
-        if v.status is Verdict.MEMBER:
-            _check(rep, "gram", cones.verify_gram(n, r, M, cert, tol))
-        else:
-            _check(rep, "pairing_negative", cert["pairing"] < 0)
-            _check(rep, "normalization_positive", cert["normalization"] > 0)
-            mb = cert["moment_blocks"]
-            worst = min(
-                (min_eig(b) for b in mb["blocks"]), default=0.0
-            )
-            _check(rep, "moment_blocks_psd", worst >= -1e3 * tol.eig_tol * scale)
-            singles = np.asarray(mb["singles"], dtype=float)
-            if singles.size:
-                _check(rep, "moment_singles_nonneg",
-                       float(np.min(singles)) >= -tol.feas_tol * scale)
-    elif v.cone.endswith("*"):
-        r = v.level
-        if v.status is Verdict.MEMBER:
-            _check(rep, "y0_nonneg", cert["y0"] >= -tol.feas_tol * scale)
-            _check(
-                rep,
-                "reconstruction",
-                cert["recon_residual"] <= 1e3 * tol.feas_tol * scale,
-            )
-            mb = cert["moment_blocks"]
-            worst = min((min_eig(b) for b in mb["blocks"]), default=0.0)
-            _check(rep, "moment_blocks_psd", worst >= -1e3 * tol.eig_tol * scale)
-        else:
-            W = np.asarray(cert["M"])
-            _check(rep, "separator_gram", cones.verify_gram(n, r, W, cert["gram"], tol))
-            _check(rep, "pairing_negative", inner(np.real(M), W) < 0)
-    elif v.cone == "CP":
-        if v.status is Verdict.MEMBER:
-            if "factor" in cert:
-                B = np.asarray(cert["factor"])
-                _check(rep, "factor_nonneg", float(np.min(B)) >= -tol.feas_tol)
-                res = np.max(np.abs(B @ B.T - M))
-                _check(rep, "factor_residual", res <= 1e3 * tol.feas_tol * scale)
-            else:
-                prof = cones.classify_elementary(M, tol)
-                _check(rep, "low_dimension_dnn", n <= 4 and prof.in_dnn)
-        else:
-            kind = cert.get("kind", "")
-            if kind.startswith("dual-hierarchy"):
-                W = np.asarray(cert["M"])
-                lvl = v.level
-                _check(
-                    rep, "separator_gram",
-                    cones.verify_gram(n, lvl, W, cert["gram"], tol),
-                )
-                _check(rep, "pairing_negative", inner(np.real(M), W) < 0)
-            else:
-                W = np.asarray(cert["witness"])
-                _check(rep, "pairing_negative", inner(W, np.real(M)) < 0)
-                if kind == "cycle-scaled":
-                    _check(rep, "diag_nonneg", float(np.min(cert["diag"])) >= 0)
-    elif v.cone == "DNN":
-        prof = cones.classify_elementary(M, tol)
-        _check(rep, "recheck", (v.status is Verdict.MEMBER) == prof.in_dnn)
-    return rep
-
-
-def _verify_sigma_certificate(G: graphs.Graph, res, tol: Tolerance) -> dict:
-    rep = {"ok": True}
-    cert = res.certificate
-    n = G.n
-    A = np.asarray(G.adjacency)
-    J = np.ones((n, n))
-    P, E = np.asarray(cert["P"]), np.asarray(cert["E"])
-    resid = float(np.max(np.abs(J - res.value * A - P - E)))
-    _check(rep, "split_residual", resid <= 1e3 * tol.feas_tol * n)
-    _check(rep, "P_psd", min_eig(P) >= -1e3 * tol.eig_tol * n)
-    _check(rep, "E_nonneg", float(np.min(E)) >= -1e2 * tol.feas_tol)
-    if "dual_X" in cert and cert["dual_X"] is not None:
-        X = np.asarray(cert["dual_X"])
-        _check(rep, "X_nonneg", float(np.min(X)) >= -1e2 * tol.feas_tol)
-        _check(rep, "X_psd", min_eig(X) >= -1e3 * tol.eig_tol)
-        _check(rep, "X_normalized", abs(inner(A, X) - 1.0) <= 1e3 * tol.feas_tol)
-        # the split bounds sigma from below only loosely (any smaller value
-        # also splits), so <J, X> must pin the value itself
-        _check(
-            rep,
-            "X_value",
-            abs(float(np.sum(X)) - res.value)
-            <= 1e2 * tol.feas_tol * (1.0 + abs(res.value)),
-        )
-    if "coloring" in cert and "clique" in cert:
-        # exact combinatorial re-check: a k-clique and a proper colouring
-        # with at most k colours pin sigma at k/(k-1)
-        col, K = list(cert["coloring"]), list(cert["clique"])
-        k = len(K)
-        _check(rep, "coloring_proper",
-               len(col) == n and all(col[u] != col[v] for u, v in G.edges))
-        _check(rep, "coloring_size", len(set(col)) <= k)
-        _check(rep, "clique_complete",
-               len(set(K)) == k
-               and all((min(u, v), max(u, v)) in G.edges
-                       for i, u in enumerate(K) for v in K[i + 1:]))
-        _check(rep, "coloring_value",
-               k >= 2 and abs(res.value - k / (k - 1)) <= 1e-12)
-    return rep
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers: each returns (result payload, exit code, verify dict)
 
 
@@ -394,16 +255,11 @@ def _run_cone_check(args, ctx: Context):
         else:  # dnn
             prof = cones.classify_elementary(M, ctx.tol)
             status = Verdict.MEMBER if prof.in_dnn else Verdict.NON_MEMBER
-            v = cones.ConeVerdict(
-                status,
-                "DNN",
-                {"min_entry": prof.min_entry, "min_eig": prof.min_eig},
-            )
-    except cones.SizeLimit as exc:
-        raise UsageError(str(exc)) from None
+            facts = {"min_entry": prof.min_entry, "min_eig": prof.min_eig}
+            v = cones.ConeVerdict(status, "DNN", facts)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    verify = _verify_cone_verdict(v, np.real(M), ctx.tol) if ctx.verify else None
+    verify = certificates.check(v, M, ctx.tol) if ctx.verify else None
     return _verdict_payload(v), _STATUS_CODE[v.status], verify
 
 
@@ -421,43 +277,15 @@ def _run_pair_check(args, ctx: Context):
             v = pairwise.is_pdec(pair, ctx.tol)
         elif args.cone == "pcp":
             v = pairwise.pcp_checks(pair, ctx.tol, ctx.effort, ctx.seed)
-        elif args.cone == "pdnn":
-            member = pairwise.is_pdnn(pair, ctx.tol)
+        else:  # pdnn, cldui+: closed-form tests
+            test = pairwise.is_pdnn if args.cone == "pdnn" else pairwise.is_cldui_plus
+            status = Verdict.MEMBER if test(pair, ctx.tol) else Verdict.NON_MEMBER
             v = pairwise.PairVerdict(
-                Verdict.MEMBER if member else Verdict.NON_MEMBER,
-                "PDNN",
-                _elementary_pair_facts(pair),
+                status, args.cone.upper(), _elementary_pair_facts(pair)
             )
-        else:  # cldui+
-            member = pairwise.is_cldui_plus(pair, ctx.tol)
-            v = pairwise.PairVerdict(
-                Verdict.MEMBER if member else Verdict.NON_MEMBER,
-                "CLDUI+",
-                _elementary_pair_facts(pair),
-            )
-    except pairwise.PreconditionError as exc:
+    except (pairwise.PreconditionError, cones.SizeLimit) as exc:
         raise UsageError(str(exc)) from None
-    except cones.SizeLimit as exc:
-        raise UsageError(str(exc)) from None
-    verify = None
-    if ctx.verify:
-        if args.cone == "pdnn":
-            verify = {"ok": True}
-            _check(
-                verify,
-                "recheck",
-                pairwise.is_pdnn(pair, ctx.tol) == (v.status is Verdict.MEMBER),
-            )
-        elif args.cone == "cldui+":
-            verify = {"ok": True}
-            _check(
-                verify,
-                "recheck",
-                pairwise.is_cldui_plus(pair, ctx.tol)
-                == (v.status is Verdict.MEMBER),
-            )
-        else:
-            verify = {"ok": pairwise.verify_pair(pair, v, ctx.tol)}
+    verify = certificates.check(v, pair, ctx.tol) if ctx.verify else None
     return _verdict_payload(v), _STATUS_CODE[v.status], verify
 
 
@@ -480,7 +308,7 @@ def _run_sigma(args, ctx: Context):
         "provenance": res.provenance,
         "certificate": _jsonable(res.certificate),
     }
-    verify = _verify_sigma_certificate(G, res, ctx.tol) if ctx.verify else None
+    verify = certificates.check(res, G, ctx.tol) if ctx.verify else None
     return payload, EXIT_MEMBER, verify
 
 
@@ -503,13 +331,13 @@ def _run_classify_map(args, ctx: Context):
     }
     verify = None
     if ctx.verify:
-        verify = _verify_sigma_certificate(G, rep.sigma_result, ctx.tol)
+        verify = certificates.check(rep.sigma_result, G, ctx.tol)
         order_ok = (
             rep.t_cp <= rep.t_ccp + 1e-9
             and rep.t_ccp <= rep.t_dec + 1e-9
             and rep.t_dec <= rep.t_pos + 1e-9
         )
-        _check(verify, "threshold_order", order_ok)
+        certificates.record(verify, "threshold_order", order_ok)
     return payload, EXIT_MEMBER, verify
 
 
@@ -537,7 +365,7 @@ def _run_scan_gap(args, ctx: Context):
             for r in records
             if r.error is None and r.omega and r.omega > 1
         )
-        _check(verify, "gap_flags_consistent", consistent)
+        certificates.record(verify, "gap_flags_consistent", consistent)
     return payload, EXIT_MEMBER, verify
 
 
@@ -574,7 +402,7 @@ def _run_srg_catalog(args, ctx: Context):
             p = graphs.catalog(name).srg
             formula = p.n * (p.r_eig + 1.0) / (p.r_eig * (p.n - 1) + p.k)
             ok = ok and abs(formula - row["sigma"]) <= 1e-9
-        _check(verify, "closed_form", ok)
+        certificates.record(verify, "closed_form", ok)
     return payload, EXIT_MEMBER, verify
 
 
@@ -582,13 +410,11 @@ def _run_dicke_ext(args, ctx: Context):
     P = load_matrix(args.P, ctx, "dicke-P", allow_complex=False)
     try:
         v = quantum.dicke_extendibility(P, args.r, ctx.tol)
-    except quantum.UnsupportedLevel as exc:
-        raise UsageError(str(exc)) from None
-    except cones.SizeLimit as exc:
+    except (quantum.UnsupportedLevel, cones.SizeLimit) as exc:
         raise UsageError(str(exc)) from None
     payload = _verdict_payload(v)
     payload["r"] = args.r
-    verify = _verify_cone_verdict(v, P, ctx.tol) if ctx.verify else None
+    verify = certificates.check(v, P, ctx.tol) if ctx.verify else None
     return payload, _STATUS_CODE[v.status], verify
 
 
@@ -602,7 +428,7 @@ def _run_witness(args, ctx: Context):
     except quantum.LevelNotCertified as exc:
         payload = {"status": "FAIL", "reason": str(exc)}
         return payload, EXIT_NON_MEMBER, ({"ok": True} if ctx.verify else None)
-    except (pairwise.DiagonalMismatch, ValueError) as exc:
+    except ValueError as exc:  # DiagonalMismatch included
         raise UsageError(str(exc)) from None
     payload = {
         "status": "member",
@@ -620,19 +446,13 @@ def _run_witness(args, ctx: Context):
         }
     verify = None
     if ctx.verify:
-        verify = _verify_cone_verdict(W.membership, M, ctx.tol)
-        _check(
-            verify,
-            "diagonal_match",
-            float(np.max(np.abs(np.diag(M) - np.diag(N)))) <= 1e-12,
-        )
+        verify = certificates.check(W.membership, M, ctx.tol)
+        diag_gap = float(np.max(np.abs(np.diag(M) - np.diag(N))))
+        certificates.record(verify, "diagonal_match", diag_gap <= 1e-12)
         if args.eval is not None:
             P = load_matrix(args.eval, ctx, "witness-eval-recheck")
-            _check(
-                verify,
-                "pairing_recomputed",
-                abs(inner(np.real(P), M) - payload["evaluation"]["pairing"]) <= 1e-9,
-            )
+            gap = abs(inner(np.real(P), M) - payload["evaluation"]["pairing"])
+            certificates.record(verify, "pairing_recomputed", gap <= 1e-9)
     return payload, code, verify
 
 
@@ -652,13 +472,13 @@ def _run_markov_choi(args, ctx: Context):
                 A, np.diag(np.diag(A)) - (np.ones_like(A) - np.eye(A.shape[0]))
             )
             val = pairwise.copcp_form_value(pair, cert["v"], cert["w"])
-            _check(verify, "refutation_negative", val < 0)
+            certificates.record(verify, "refutation_negative", val < 0)
         else:
             g = quantum._markov_g(A, np.asarray(cert["t"]))
-            _check(verify, "ascent_value", g <= 1.0 + 1e-9)
+            certificates.record(verify, "ascent_value", g <= 1.0 + 1e-9)
             if cert.get("cldui_plus"):
                 s = float(np.sum(1.0 / (1.0 + np.diag(A))))
-                _check(verify, "diagonal_criterion", s <= 1.0 + 1e-9)
+                certificates.record(verify, "diagonal_criterion", s <= 1.0 + 1e-9)
     return payload, _STATUS_CODE[v.status], verify
 
 

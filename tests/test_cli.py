@@ -10,7 +10,8 @@ import pytest
 
 import conekit
 from conekit import cones, graphs
-from conekit.cli import _verify_cone_verdict, _verify_sigma_certificate, main
+from conekit.certificates import _verify_cone_verdict, _verify_sigma_certificate
+from conekit.cli import main
 from conekit.cones import berman_matrix, horn_matrix
 from conekit.linalg import Tolerance
 

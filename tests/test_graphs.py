@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conekit.graphs as gr
-from conekit.cli import _verify_sigma_certificate
+from conekit.certificates import _verify_sigma_certificate
 from conekit.cones import SizeLimit
 from conekit.linalg import Tolerance
 

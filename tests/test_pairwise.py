@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -317,6 +319,25 @@ def test_lift_check_refutes_noncopositive_input():
     assert copcp_form_value(pr, v.certificate["v"], v.certificate["w"]) < 0
 
 
+def test_verify_pair_checks_the_nested_cop_gram():
+    H = horn_matrix()
+    N = np.diag(np.diag(H)) + ring(np.ones((5, 5)))
+    pr = pair_form(N, H - ring(N))
+    v = lift_check(H, N)
+    assert v.certificate["route"] == "lift" and verify_pair(pr, v)
+    cop = v.certificate["cop"]
+    gram = cop.certificate["gram"]
+    blocks = [dict(b) for b in gram["blocks"]]
+    blocks[0]["G"] = blocks[0]["G"] + 0.1 * np.eye(len(blocks[0]["G"]))
+    for forged_gram in ({**gram, "blocks": blocks}, None):
+        forged = dataclasses.replace(
+            cop, certificate={**cop.certificate, "gram": forged_gram}
+        )
+        assert not verify_pair(
+            pr, dataclasses.replace(v, certificate={**v.certificate, "cop": forged})
+        )
+
+
 def test_lift_check_preconditions():
     with pytest.raises(PreconditionError):
         lift_check(-np.eye(3), np.eye(3))
@@ -466,6 +487,21 @@ def test_spn_lift_horn_is_refuted():
     N = np.diag(np.diag(H)) + ring(np.ones((5, 5)))
     v = spn_lift_check(H, N)
     assert v.status is Verdict.NON_MEMBER
+
+
+def test_verify_pair_checks_the_nested_spn_witness():
+    H = horn_matrix()
+    N = np.diag(np.diag(H)) + ring(np.ones((5, 5)))
+    pr = pair_form(N, H - ring(N))
+    v = spn_lift_check(H, N)
+    assert verify_pair(pr, v)
+    spn = v.certificate["spn"]
+    X = spn.certificate["X"] - 0.5 * np.eye(5)  # still pairs negatively
+    assert np.sum(X * H) < 0 and np.linalg.eigvalsh(X)[0] < 0
+    forged = dataclasses.replace(spn, certificate={**spn.certificate, "X": X})
+    assert not verify_pair(
+        pr, dataclasses.replace(v, certificate={**v.certificate, "spn": forged})
+    )
 
 
 def test_spn_lift_all_ones_member():
