@@ -199,6 +199,8 @@ def _verify_pair_verdict(v, pair, tol: Tolerance) -> dict:
         record(rep, "A_nonneg", float(np.min(pair.A)) >= -bound)
     elif member and route == "atoms":
         atoms = [(lam, *pairwise._atom(x, y)) for x, y, lam in cert["atoms"]]
+        # PCP is the cone the atoms generate: only nonnegative weights
+        record(rep, "atoms_nonneg", all(lam >= 0 for lam, _, _ in atoms))
         SA = sum(lam * Aat for lam, Aat, _ in atoms)
         SB = sum(lam * Bat for lam, _, Bat in atoms)
         record(rep, "atoms_A", np.max(np.abs(SA - pair.A)) <= 10 * bound)

@@ -31,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     Tolerance,
     as_tolerance,
     check_hermitian,
@@ -39,7 +38,6 @@ from .linalg import (
     is_entrywise_nonneg,
     is_psd,
     min_eig,
-    off_diag,
     symmetrize,
 )
 from .optim import SdpProblem, SdpStatus, solve_sdp
@@ -180,47 +178,67 @@ def _sym_entries(n):
             yield i, j, E
 
 
+def _sym_from_upper(v, n: int, off: float = 1.0) -> np.ndarray:
+    """The symmetric matrix whose upper triangle, row by row as in
+    _sym_entries, is v, with off-diagonal entries scaled by off."""
+    i, j = np.triu_indices(n)
+    w = np.where(i == j, v, off * v)
+    M = np.zeros((n, n))
+    M[i, j] = M[j, i] = w
+    return M
+
+
 # ---------------------------------------------------------------------------
 # SPN via the shifted decomposition program
+
+
+def _spn_program(R, D, tol, maximize: bool = False):
+    """Minimize (or maximize) t subject to R + t D = P + E, P psd and E
+    symmetric nonnegative.
+
+    One row per upper-triangle entry in _sym_entries order; blocks P, E, t.
+    Returns (sol, t*, P, E as its upper-triangle vector, X) where X is the
+    dual matrix read off -y: for the minimization, X >= 0, X psd,
+    <X, D> = 1 and <X, R> = -t* at the optimum; for the maximization,
+    <X, D> = -1 and <X, R> = t*.
+    """
+    n = R.shape[0]
+    m = n * (n + 1) // 2
+    prob = SdpProblem()
+    P = prob.add_psd(n)
+    E = prob.add_nn(m)
+    t = prob.add_free(1)
+    for idx, (i, j, B) in enumerate(_sym_entries(n)):
+        ev = np.zeros(m)
+        ev[idx] = 1.0
+        prob.add_eq(R[i, j], (P, B), (E, ev), (t, -D[i, j]))
+    prob.set_cost(t, -1.0 if maximize else 1.0)
+    sol = solve_sdp(prob, tol)
+    tstar = -sol.primal_obj if maximize else sol.primal_obj
+    X = _sym_from_upper(-sol.y, n, 0.5)
+    return sol, tstar, sol.block(P), sol.block(E), X
 
 
 def is_spn(M, tol=None) -> ConeVerdict:
     """Decide M in SPN = {P + E : P psd, E symmetric nonnegative}.
 
-    Solves min t s.t. M + t I = P + E.  A nonpositive optimum certifies
-    membership with the explicit split; a positive optimum produces a
-    doubly nonnegative witness X with <X, M> = -t* < 0 from the dual.
+    Solves min t s.t. M + t I = P + E (the SPN program with R = M, D = I).
+    A nonpositive optimum certifies membership with the explicit split; a
+    positive optimum produces a doubly nonnegative witness X with
+    <X, M> < 0 from the dual, clipped to be nonnegative with trace one.
     """
     tol = as_tolerance(tol)
     A = np.real(check_hermitian(M))
     n = A.shape[0]
     scale = max(1.0, float(np.max(np.abs(A))))
-    prob = SdpProblem()
-    P = prob.add_psd(n)
-    E = prob.add_nn(n * (n + 1) // 2)
-    t = prob.add_free(1)
-    idx = 0
-    for i, j, B in _sym_entries(n):
-        ev = np.zeros(n * (n + 1) // 2)
-        ev[idx] = 1.0
-        prob.add_eq(A[i, j], (P, B), (E, ev), (t, -1.0 if i == j else 0.0))
-        idx += 1
-    prob.set_cost(t, 1.0)
-    sol = solve_sdp(prob, tol)
+    sol, tstar, Pm, evec, X = _spn_program(A, np.eye(n), tol)
     if sol.status is not SdpStatus.OPTIMAL:
         return ConeVerdict(
             Verdict.UNKNOWN, "SPN", {}, detail=f"solver {sol.status.value}"
         )
-    tstar = sol.primal_obj
     if tstar <= tol.feas_tol * scale:
-        Pm = symmetrize(sol.block(P))
-        Evec = np.maximum(sol.block(E), 0.0)
-        Em = np.zeros((n, n))
-        k = 0
-        for i in range(n):
-            for j in range(i, n):
-                Em[i, j] = Em[j, i] = Evec[k]
-                k += 1
+        Pm = symmetrize(Pm)
+        Em = _sym_from_upper(np.maximum(evec, 0.0), n)
         shift = max(tstar, 0.0)
         if tstar < 0:
             # absorb the slack into P, which stays psd
@@ -233,15 +251,6 @@ def is_spn(M, tol=None) -> ConeVerdict:
             value=float(tstar),
         )
     # dual witness: X doubly nonnegative, trace one, <X, M> = -t*
-    X = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                X[i, i] = -sol.y[k]
-            else:
-                X[i, j] = X[j, i] = -sol.y[k] / 2.0
-            k += 1
     X = np.maximum(symmetrize(X), 0.0)
     tr = np.trace(X)
     if tr > 0:
@@ -336,14 +345,9 @@ class _SosData:
         return np.einsum("gij,g->ij", self.C, np.asarray(z, dtype=float))
 
 
-_SOS_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _sos_data(n: int, r: int) -> _SosData:
-    key = (n, r)
-    if key not in _SOS_CACHE:
-        _SOS_CACHE[key] = _SosData(n, r)
-    return _SOS_CACHE[key]
+    return _SosData(n, r)
 
 
 def _sos_problem(sd: _SosData, M0, families):
@@ -530,16 +534,7 @@ def in_kr_dual(P, r: int, tol=None) -> ConeVerdict:
             "moment_blocks": _moment_blocks(sd, sol, grams, singles),
         }
         return ConeVerdict(Verdict.MEMBER, cone, cert, level=r, value=vstar)
-    theta_star = sol.free
-    Mstar = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                Mstar[i, i] = theta_star[k]
-            else:
-                Mstar[i, j] = Mstar[j, i] = theta_star[k] / 2.0
-            k += 1
+    Mstar = _sym_from_upper(sol.free, n, 0.5)
     cert = {
         "M": Mstar,
         "pairing": inner(A, Mstar),
@@ -779,8 +774,10 @@ def cp_factor(M, max_rounds: int = 500, seed: int = 0, tol=None):
     return None
 
 
-def _horn_relabelings():
-    """Distinct matrices P H P^T over vertex relabelings of the 5-cycle."""
+@lru_cache(maxsize=None)
+def _horn_relabelings() -> tuple:
+    """Distinct matrices P H P^T over vertex relabelings of the 5-cycle,
+    as read-only arrays."""
     H = horn_matrix()
     seen = {}
     for perm in permutations(range(5)):
@@ -788,11 +785,9 @@ def _horn_relabelings():
         for a, b in enumerate(perm):
             P[b, a] = 1.0
         Q = P @ H @ P.T
+        Q.setflags(write=False)
         seen.setdefault(Q.tobytes(), Q)
-    return list(seen.values())
-
-
-_HORN_FORMS = None
+    return tuple(seen.values())
 
 
 def _scaled_horn_witness(M: np.ndarray, tol: Tolerance, cap: int):
@@ -802,9 +797,6 @@ def _scaled_horn_witness(M: np.ndarray, tol: Tolerance, cap: int):
     supported on a 5-subset.  Such W are copositive for every choice, so a
     negative pairing refutes complete positivity.
     """
-    global _HORN_FORMS
-    if _HORN_FORMS is None:
-        _HORN_FORMS = _horn_relabelings()
     n = M.shape[0]
     if n < 5:
         return None
@@ -813,7 +805,7 @@ def _scaled_horn_witness(M: np.ndarray, tol: Tolerance, cap: int):
     best = None
     for S in combinations(range(n), 5):
         sub = M[np.ix_(S, S)]
-        for Hp in _HORN_FORMS:
+        for Hp in _horn_relabelings():
             count += 1
             if count > cap:
                 break

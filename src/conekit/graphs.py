@@ -34,10 +34,11 @@ from .cones import (
     _gram_from_solution,
     _sos_data,
     _sos_problem,
-    _sym_entries,
+    _spn_program,
+    _sym_from_upper,
 )
 from .linalg import as_tolerance, eig_sym
-from .optim import SdpProblem, SdpStatus, solve_lp, solve_sdp
+from .optim import SdpStatus, solve_lp, solve_sdp
 
 __all__ = [
     "Graph",
@@ -593,36 +594,22 @@ def _sigma(G: Graph, strategy: str, tol=None, clique=None) -> SigmaResult:
 
 
 def _sigma_sdp(G: Graph, tol=None) -> SigmaResult:
+    """sigma as the SPN program max t s.t. J - t A = P + E (R = J, D = -A).
+
+    The dual matrix X of that program is doubly nonnegative with
+    <A, X> = 1 and <J, X> = sigma at the optimum; it is the certificate's
+    dual_X.
+    """
     n = G.n
     A = np.asarray(G.adjacency)
-    prob = SdpProblem()
-    Pref = prob.add_psd(n, label="P")
-    Eref = prob.add_nn(n * (n + 1) // 2, label="E")
-    tref = prob.add_free()
-    rows = list(_sym_entries(n))
-    for idx, (i, j, B) in enumerate(rows):
-        ev = np.zeros(n * (n + 1) // 2)
-        ev[idx] = 1.0
-        prob.add_eq(1.0, (Pref, B), (Eref, ev), (tref, [A[i, j]]))
-    prob.set_cost(tref, [-1.0])
-    sol = solve_sdp(prob, tol)
+    J = np.ones((n, n))
+    sol, value, P, evec, X = _spn_program(J, -A, tol, maximize=True)
     if sol.status is not SdpStatus.OPTIMAL:
         raise ArithmeticError(
             f"sigma SDP did not converge ({sol.status.value}); "
             f"residuals {sol.residuals}"
         )
-    value = -float(sol.primal_obj)
-    P = np.asarray(sol.block(Pref))
-    evec = np.asarray(sol.block(Eref), dtype=float)
-    E = np.zeros((n, n))
-    X = np.zeros((n, n))
-    for idx, (i, j, _B) in enumerate(rows):
-        E[i, j] = E[j, i] = evec[idx]
-        if i == j:
-            X[i, i] = -sol.y[idx]
-        else:
-            X[i, j] = X[j, i] = -sol.y[idx] / 2.0
-    J = np.ones((n, n))
+    E = _sym_from_upper(evec, n)
     cert = {
         "P": P,
         "E": E,
@@ -669,30 +656,13 @@ def _sigma_coloring_closed(G: Graph, clique: Sequence[int], coloring) -> SigmaRe
 def sigma_dual_bound(G: Graph, tol=None) -> tuple[float, np.ndarray]:
     """min <J, X> over doubly nonnegative X with <A_G, X> = 1.
 
-    By conic duality the optimum equals sigma(G); the witness X is returned.
+    This is the conic dual of the sigma SDP, so the optimum equals sigma(G);
+    the value and witness X are the dual_value and dual_X of that one solve.
     """
     if not G.edges:
         raise ValueError("the dual bound requires at least one edge")
-    n = G.n
-    A = np.asarray(G.adjacency)
-    prob = SdpProblem()
-    Xref = prob.add_psd(n, label="X")
-    Fref = prob.add_nn(n * (n + 1) // 2)
-    rows = list(_sym_entries(n))
-    for idx, (i, j, B) in enumerate(rows):
-        ev = np.zeros(n * (n + 1) // 2)
-        ev[idx] = -1.0
-        prob.add_eq(0.0, (Xref, B), (Fref, ev))
-    prob.add_eq(1.0, (Xref, A.copy()))
-    prob.set_cost(Xref, np.ones((n, n)))
-    sol = solve_sdp(prob, tol)
-    if sol.status is not SdpStatus.OPTIMAL:
-        raise ArithmeticError(
-            f"dual-bound SDP did not converge ({sol.status.value}); "
-            f"residuals {sol.residuals}"
-        )
-    X = np.asarray(sol.block(Xref))
-    return float(sol.primal_obj), X
+    cert = _sigma_sdp(G, tol).certificate
+    return cert["dual_value"], cert["dual_X"]
 
 
 def sigma_twirled(G: Graph, tol=None) -> SigmaResult:

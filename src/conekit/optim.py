@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from enum import Enum
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -36,7 +36,7 @@ from .linalg import (
     symmetrize,
 )
 from . import cones
-from .cones import ConeVerdict, Effort, Verdict
+from .cones import Effort, Verdict
 from .optim import SdpProblem, SdpStatus, solve_sdp
 
 __all__ = [
@@ -155,6 +155,12 @@ def pair_inner(p: MatrixPair, q: MatrixPair) -> float:
 # necessary conditions
 
 
+def _modulus(B) -> np.ndarray:
+    """Entrywise |B| through hypot, which rounds like the scalar abs();
+    numpy's vectorized complex abs can differ from it in the last bit."""
+    return np.hypot(B.real, B.imag)
+
+
 def necessary_filters(pair: MatrixPair, tol=None, effort="default",
                       seed: int = 0) -> dict:
     """Three conditions every pairwise copositive pair satisfies.
@@ -187,16 +193,13 @@ def necessary_filters(pair: MatrixPair, tol=None, effort="default",
         report["symmetrized_cop"] = ("PASS" if n <= 12 else "UNKNOWN",
                                      {"refuter_min": val})
 
-    worst_pair, worst_val = None, np.inf
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            g = (np.sqrt(max(A[i, i] * A[j, j], 0.0))
-                 + np.sqrt(max(A[i, j] * A[j, i], 0.0))
-                 - abs(B[i, j]))
-            if g < worst_val:
-                worst_val, worst_pair = g, (i, j)
+    d = np.diag(A)
+    g = (np.sqrt(np.maximum(d[:, None] * d[None, :], 0.0))
+         + np.sqrt(np.maximum(A * A.T, 0.0)) - _modulus(B))
+    np.fill_diagonal(g, np.inf)
+    # argmin takes the first minimum in row-major order
+    worst_pair = tuple(int(k) for k in np.unravel_index(np.argmin(g), g.shape))
+    worst_val = g[worst_pair]
     if worst_val < -tol.feas_tol * scale:
         report["entry_inequality"] = ("FAIL", {"entry": worst_pair,
                                                "margin": float(worst_val)})
@@ -589,15 +592,10 @@ def pdec_sufficient(pair: MatrixPair) -> bool:
     A, B, n = pair.A, pair.B, pair.n
     if n < 2 or float(np.min(A)) < 0:
         return False
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            lhs = (np.sqrt(max(A[i, i] * A[j, j], 0.0)) / (n - 1)
-                   + np.sqrt(max(A[i, j] * A[j, i], 0.0)))
-            if lhs - abs(B[i, j]) < -1e-12:
-                return False
-    return True
+    d = np.diag(A)
+    lhs = (np.sqrt(np.maximum(d[:, None] * d[None, :], 0.0)) / (n - 1)
+           + np.sqrt(np.maximum(A * A.T, 0.0)))
+    return not np.any(off_diag(lhs - _modulus(B) < -1e-12))
 
 
 def spn_lift_check(A, N, tol=None) -> PairVerdict:
@@ -622,17 +620,9 @@ def spn_lift_check(A, N, tol=None) -> PairVerdict:
     ringN = off_diag(N)
     pairNB = pair_form(N, A - ringN)
 
-    main = True
-    for i in range(n):
-        for j in range(n):
-            if i != j and N[i, j] < 0.5 * A[i, j] + 0.25 * (
-                A[i, i] + A[j, j]
-            ) - tol.feas_tol:
-                main = False
-                break
-        if not main:
-            break
-    if main:
+    d = np.diag(A)
+    low = N < 0.5 * A + 0.25 * (d[:, None] + d[None, :]) - tol.feas_tol
+    if not np.any(off_diag(low)):
         spn = cones.is_spn(A, tol=tol)
         if spn.status is Verdict.MEMBER:
             P = spn.certificate["P"]
@@ -674,19 +664,14 @@ def spn_lift_check(A, N, tol=None) -> PairVerdict:
 def is_pdnn(pair: MatrixPair, tol=None) -> bool:
     """A entrywise nonneg, B psd, and A_ij A_ji >= |B_ij|^2 off-diagonal."""
     tol = as_tolerance(tol)
-    A, B, n = pair.A, pair.B, pair.n
+    A, B = pair.A, pair.B
     scale = pair.scale()
     if float(np.min(A)) < -tol.feas_tol * scale:
         return False
     if not is_psd(B, tol):
         return False
-    for i in range(n):
-        for j in range(n):
-            if i != j and A[i, j] * A[j, i] - abs(B[i, j]) ** 2 < (
-                -tol.feas_tol * scale * scale
-            ):
-                return False
-    return True
+    gap = A * A.T - _modulus(B) ** 2
+    return not np.any(off_diag(gap < -tol.feas_tol * scale * scale))
 
 
 def is_cldui_plus(pair: MatrixPair, tol=None) -> bool:

@@ -17,7 +17,7 @@ completely-positive membership of P, and level-r bosonic extendibility to
 the dual of the level-(r-2) cone of the copositivity hierarchy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 

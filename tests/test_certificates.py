@@ -68,3 +68,26 @@ def test_pcp_witness_pairing_is_recomputed():
     rep = check(forge(v, witness=(-Nw, Nw)), refuted)
     assert rep["witness_copcp"] is False
 
+
+
+def test_pcp_atoms_with_a_negative_weight_fail():
+    from conekit import pairwise
+
+    rng = np.random.default_rng(4)
+    n = 4
+    atoms = []
+    for lam in (0.2, -1.0):
+        v = np.abs(rng.normal(size=n)).astype(complex)
+        w = np.abs(rng.normal(size=n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        atoms.append((v, w, lam))
+    parts = [(lam, *pairwise._atom(v, w)) for v, w, lam in atoms]
+    A = sum(lam * Aat for lam, Aat, _ in parts)
+    B = sum(lam * Bat for lam, _, Bat in parts)
+    pair = pair_form(A, B - np.diag(np.diag(B)) + np.diag(np.diag(A)))
+    assert pairwise.pcp_checks(pair).status is Verdict.NON_MEMBER
+    fake = PairVerdict(Verdict.MEMBER, "pcp", {"route": "atoms", "atoms": atoms})
+    rep = check(fake, pair)
+    # the weighted sums rebuild the pair exactly; only the sign is wrong
+    assert rep["atoms_A"] and rep["atoms_B"]
+    assert rep["atoms_nonneg"] is False and rep["ok"] is False
+    assert not pairwise.verify_pair(pair, fake)

@@ -397,6 +397,12 @@ def test_sigma_dual_bound_matches():
         assert lo == pytest.approx(hi, abs=1e-6)
         assert np.linalg.eigvalsh(X)[0] >= -1e-7
         assert X.min() >= -1e-7
+    # the bound is the dual half of the sigma SDP, not a second solve
+    g = gr.catalog("wheel6")
+    lo, X = gr.sigma_dual_bound(g)
+    cert = gr.sigma(g, "sdp").certificate
+    assert lo == cert["dual_value"]
+    assert np.array_equal(X, cert["dual_X"])
 
 
 def test_sigma_dual_bound_k2():

@@ -8,7 +8,7 @@ from conekit import cones, optim
 from conekit.cones import Verdict, berman_matrix, horn_matrix
 from conekit.graphs import catalog
 from conekit import pairwise as pw
-from conekit.linalg import Tolerance
+from conekit.linalg import Tolerance, is_psd
 from conekit.pairwise import (
     DiagonalMismatch,
     PreconditionError,
@@ -198,6 +198,55 @@ def test_filters_fail_on_entry_inequality():
     B = np.array([[1.0, 2.0], [2.0, 1.0]])
     rep = necessary_filters(pair_form(A, B))
     assert rep["entry_inequality"][0] == "FAIL"
+
+
+def test_entry_conditions_match_the_entry_loops():
+    # the per-entry loops the array expressions replaced, kept as reference:
+    # same arithmetic, so equal results, ties going to the first (i, j)
+    def loop_entry_inequality(A, B, n):
+        worst_pair, worst_val = None, np.inf
+        for i in range(n):
+            for j in range(n):
+                g = (np.sqrt(max(A[i, i] * A[j, j], 0.0))
+                     + np.sqrt(max(A[i, j] * A[j, i], 0.0)) - abs(B[i, j]))
+                if i != j and g < worst_val:
+                    worst_val, worst_pair = g, (i, j)
+        return worst_pair, worst_val
+
+    def loop_pdnn_entries(A, B, n, bound):
+        return all(A[i, j] * A[j, i] - abs(B[i, j]) ** 2 >= bound
+                   for i in range(n) for j in range(n) if i != j)
+
+    def loop_pdec_sufficient(A, B, n):
+        return n > 1 and float(np.min(A)) >= 0 and all(
+            np.sqrt(max(A[i, i] * A[j, j], 0.0)) / (n - 1)
+            + np.sqrt(max(A[i, j] * A[j, i], 0.0)) - abs(B[i, j]) >= -1e-12
+            for i in range(n) for j in range(n) if i != j)
+
+    rng = np.random.default_rng(8)
+    tol = Tolerance()
+    for k in range(60):
+        n = 2 + k % 5
+        A = np.abs(rng.normal(size=(n, n)))
+        if k % 3 == 0:
+            A = A + A.T  # symmetric: every entry ties with its mirror
+        G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        B = G @ G.conj().T * 0.3 if k % 2 else random_hermitian(rng, n)
+        d = np.abs(np.diag(B).real) + 0.5
+        np.fill_diagonal(A, d)
+        np.fill_diagonal(B, d)
+        s = 10.0 ** rng.uniform(-3, 3)
+        p = pair_form(s * A, s * B)
+        tag, info = necessary_filters(p, tol=tol)["entry_inequality"]
+        pair, val = loop_entry_inequality(p.A, p.B, n)
+        assert info["margin"] == val
+        assert (tag == "FAIL") == (val < -tol.feas_tol * p.scale())
+        if tag == "FAIL":
+            assert info["entry"] == pair
+        bound = -tol.feas_tol * p.scale() ** 2
+        assert is_pdnn(p, tol) == (is_psd(p.B, tol)
+                                   and loop_pdnn_entries(p.A, p.B, n, bound))
+        assert pdec_sufficient(p) == loop_pdec_sufficient(p.A, p.B, n)
 
 
 # ---------------------------------------------------------------------------
