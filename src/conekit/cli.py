@@ -19,9 +19,10 @@ Subcommand-specific options:
 
 Options shared by every subcommand:
 
-    --seed INT    deterministic seed for all randomized searches (default 0)
-    --tol X       feasibility tolerance (default 1e-7); the eigenvalue
-                  tolerance is tol / 10
+    --seed INT    deterministic seed for all randomized searches, >= 0
+                  (default 0)
+    --tol X       feasibility tolerance, finite and > 0 (default 1e-7); the
+                  eigenvalue tolerance is tol / 10
     --effort {fast,default,thorough}
     --verify      re-check the report's certificates with certificates.check,
                   the checker verify_pair uses; no optimization is re-run
@@ -572,6 +573,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         effort = Effort.of(args.effort)
+        if not (np.isfinite(args.tol) and args.tol > 0):
+            raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -684,7 +684,7 @@ def is_cldui_plus(pair: MatrixPair, tol=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# PCP heuristics
+# PCP: refutation filters and the one-atom split
 
 
 def _atom(v, w):
@@ -696,38 +696,72 @@ def _atom(v, w):
     return Aat, Bat
 
 
-def _pair_vec(A, B, n):
-    parts = [np.asarray(A, dtype=float).reshape(-1)]
+def _one_atom_split(A, B, n, bound):
+    """Exact test of (A, B) = one atom (v, w) plus unit atoms, within bound.
+
+    A unit atom (e_i, e_j) adds any nonnegative rest to A and nothing to
+    ring B, so the pair is in this class exactly when ring B = ring(zz*)
+    for some z = v o w with |v_i|^2 |w_j|^2 <= A_ij.  On the support of
+    ring B, log|z| solves log|z_i| + log|z_j| = log|B_ij| by least squares
+    (two rows split their product in the ratio sqrt(A_ii/A_jj)) and the
+    phases come from one row.  With |v_i|^2 = |z_i| s_i and
+    |w_i|^2 = |z_i|/s_i the bounds on A become the difference constraints
+    log s_i - log s_j <= log A_ij - log|z_i||z_j|, solved by shortest
+    paths.  Returns the residual max(ring-B mismatch, -min(A - A_atom))
+    and the atoms (v, w, weight) that reach it.
+    """
     Bo = off_diag(np.asarray(B, dtype=complex))
-    iu = np.triu_indices(n, k=1)
-    parts.append(np.sqrt(2.0) * Bo[iu].real)
-    parts.append(np.sqrt(2.0) * Bo[iu].imag)
-    return np.concatenate(parts)
-
-
-def _derive_atom(A, B, n):
-    """Best-effort rank-one atom matching the leading structure of (A, B)."""
-    Ac = np.clip(np.asarray(A, dtype=float), 0.0, None)
-    U, S, Vt = np.linalg.svd(Ac)
-    p = np.abs(U[:, 0]) * np.sqrt(S[0])
-    q = np.abs(Vt[0])
-    wB, VB = np.linalg.eigh(check_hermitian(B))
-    zeta = VB[:, -1] * np.sqrt(max(wB[-1], 0.0))
-    v = np.sqrt(p)
-    mag_w = np.sqrt(q)
-    w = mag_w * np.exp(1j * np.angle(zeta))
-    return v.astype(complex), w
+    M = _modulus(Bo)
+    S = np.flatnonzero(M.max(axis=1) > bound)  # never one row: M = M^T
+    k, tiny = len(S), np.finfo(float).tiny
+    v = np.zeros(n)
+    w = np.zeros(n, dtype=complex)
+    if k:
+        iu, ju = np.triu_indices(k, k=1)
+        m = M[S[iu], S[ju]]
+        iu, ju, m = iu[m > 0], ju[m > 0], m[m > 0]
+        E = (np.arange(k) == iu[:, None]) * 1.0 + (np.arange(k) == ju[:, None])
+        # the least-squares solution nearest |z_i|^2 = A_ii; only two rows
+        # leave it a choice, which then splits their product as above
+        h = 0.5 * np.log(np.maximum(np.diag(A)[S], tiny))
+        lz = h + np.linalg.pinv(E) @ (np.log(m) - E @ h)
+        # half the bound as slack keeps rounding off tight cycles
+        T = np.maximum(A[np.ix_(S, S)], 0.0) + 0.5 * bound
+        W = np.log(np.maximum(T, tiny)) - lz[:, None] - lz[None, :]
+        np.fill_diagonal(W, 0.0)
+        span = float(np.max(np.abs(W)))
+        for t in range(k):  # Floyd-Warshall
+            W = np.minimum(W, W[:, t, None] + W[None, t, :])
+        # a feasible system has a solution within span; an infeasible one
+        # is clipped there so that the residual below stays finite
+        x = W.min(axis=1)
+        x = np.maximum(x - x.max(), -span)
+        r = S[np.argmax(M[S].max(axis=1))]
+        v[S] = np.exp(0.5 * (lz + x))
+        w[S] = np.exp(0.5 * (lz - x) - 1j * np.angle(Bo[r, S]))
+    Aat, Bat = _atom(v, w)
+    rest = A - Aat
+    resid = max(float(np.max(_modulus(off_diag(Bat) - Bo))),
+                -float(np.min(rest)))
+    eye = np.eye(n)
+    atoms = [(v, w, 1.0)] if k else []
+    atoms += [(eye[i], eye[j], float(rest[i, j]))
+              for i, j in zip(*np.nonzero(rest > 0))]
+    return resid, atoms
 
 
 def pcp_checks(pair: MatrixPair, tol=None, effort="default",
                seed: int = 0) -> PairVerdict:
-    """Heuristic pairwise complete positivity test.
+    """Pairwise complete positivity test, exact for one atom plus unit atoms.
 
-    NON_MEMBER when a necessary condition fails (the pdnn filter, the
-    Schur-pair rule for diagonal A, the equal-pair reduction to the
-    completely positive cone, or a negative pairing against a known
-    pairwise copositive witness).  MEMBER only when an explicit atomic
-    decomposition is found by greedy fitting; otherwise UNKNOWN.
+    NON_MEMBER when a necessary condition fails: the pdnn filter, the
+    Schur-pair rule for diagonal A, a negative pairing against a known
+    pairwise copositive witness, or the equal-pair reduction to the
+    completely positive cone (the only route that uses effort and seed).
+    MEMBER through that reduction, or when the pair is one atom plus unit
+    atoms (e_i, e_j), a class `_one_atom_split` decides exactly; it holds
+    every 2 x 2 pdnn pair.  Anything else, for instance a sum of two
+    general atoms, is UNKNOWN.
     """
     tol = as_tolerance(tol)
     eff = Effort.of(effort)
@@ -776,57 +810,15 @@ def pcp_checks(pair: MatrixPair, tol=None, effort="default",
                                detail="equal pair outside the completely "
                                       "positive cone")
 
-    # greedy atomic fitting
-    from scipy.optimize import nnls
-
-    rng = np.random.default_rng(seed)
-    target = _pair_vec(A, B, n)
-    tscale = max(1.0, float(np.linalg.norm(target)))
-    atoms = []
-    for i in range(n):
-        for j in range(n):
-            v = np.zeros(n)
-            w = np.zeros(n)
-            v[i] = 1.0
-            w[j] = 1.0
-            atoms.append((v.astype(complex), w.astype(complex)))
-    atoms.append((np.ones(n, dtype=complex), np.ones(n, dtype=complex)))
-    for _ in range(32):
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        w = rng.normal(size=n) + 1j * rng.normal(size=n)
-        atoms.append((v, w))
-
-    # atoms are only ever appended, so their matrices and columns are too
-    parts = [_atom(v, w) for v, w in atoms]
-    cols = [_pair_vec(*p, n) for p in parts]
-
-    RA, RB = A, B
-    best = None
-    for _ in range(50):
-        va, wa = _derive_atom(RA, RB, n)
-        atoms.append((va, wa))
-        parts.append(_atom(va, wa))
-        cols.append(_pair_vec(*parts[-1], n))
-        lam, res = nnls(np.stack(cols, axis=1), target)
-        if best is None or res < best[1] - 1e-15:
-            best = (lam.copy(), res)
-        if res <= tol.feas_tol * tscale:
-            chosen = [(atoms[t][0], atoms[t][1], float(lam[t]))
-                      for t in range(len(atoms)) if lam[t] > 1e-12]
-            return PairVerdict(
-                Verdict.MEMBER, "pcp",
-                {"route": "atoms", "atoms": chosen, "residual": float(res)},
-                detail="explicit atomic decomposition found",
-            )
-        cur_A = sum(l * Aat for (Aat, _), l in zip(parts, lam) if l > 0)
-        cur_B = sum(l * Bat for (_, Bat), l in zip(parts, lam) if l > 0)
-        RA = A - cur_A
-        RB = np.asarray(B, dtype=complex) - cur_B
-        if best[1] > 0 and res > best[1] * (1 - 1e-9) and len(atoms) > n * n + 40:
-            break
-    return PairVerdict(Verdict.UNKNOWN, "pcp",
-                       {"fit_residual": float(best[1]) if best else None},
-                       detail="no decomposition found; membership open")
+    resid, atoms = _one_atom_split(A, B, n, tol.feas_tol * scale)
+    if resid <= tol.feas_tol * scale:
+        return PairVerdict(
+            Verdict.MEMBER, "pcp",
+            {"route": "atoms", "atoms": atoms, "residual": resid},
+            detail="one atom plus unit atoms",
+        )
+    return PairVerdict(Verdict.UNKNOWN, "pcp", {"split_residual": resid},
+                       detail="not one atom plus unit atoms; membership open")
 
 
 # ---------------------------------------------------------------------------

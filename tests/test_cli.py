@@ -443,6 +443,18 @@ def test_size_limit_is_usage_error(capsys, tmp_path):
     assert main(["cone-check", "--cone", "kr", "--level", "2", "--in", big]) == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ("sigma", "--graph", "petersen", "--tol", "nan"),
+    ("sigma", "--graph", "petersen", "--tol", "-1", "--verify"),
+    ("pair-check", "--cone", "pcp", "--seed", "-1"),
+])
+def test_bad_tol_or_seed_is_usage_error(capsys, berman_file, argv):
+    if argv[0] == "pair-check":
+        argv += ("--A", berman_file, "--B", berman_file)
+    assert main(list(argv)) == 64
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # import hygiene: scipy is loaded only by the routes that call it
 
@@ -479,6 +491,19 @@ def scipy_modules_after(*argv):
 ])
 def test_closed_form_routes_load_no_scipy(argv):
     assert scipy_modules_after(*argv) == set()
+
+
+def test_pcp_one_atom_split_loads_no_scipy(tmp_path):
+    v = np.array([1.0, 2.0, 0.5])
+    w = np.array([0.3, 1.0, 1.0]) * np.exp(1j * np.array([0.2, -0.5, 1.3]))
+    z = v * w
+    A = np.outer(v ** 2, np.abs(w) ** 2)
+    B = np.outer(z, z.conj())
+    B[np.diag_indices(3)] = np.diag(A)
+    a = write_matrix(tmp_path / "A.json", A)
+    b = write_matrix(tmp_path / "B.json", B)
+    assert scipy_modules_after("pair-check", "--cone", "pcp",
+                               "--A", a, "--B", b) == set()
 
 
 def test_sdp_route_loads_scipy_linalg_only():

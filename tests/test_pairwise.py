@@ -1,10 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conekit import cones, optim
+from conekit import certificates, cones, optim
 from conekit.cones import Verdict, berman_matrix, horn_matrix
 from conekit.graphs import catalog
 from conekit import pairwise as pw
@@ -676,6 +677,22 @@ def test_pcp_diagonal_a_with_offdiagonal_b():
     assert out.status is Verdict.NON_MEMBER
 
 
+def test_pcp_refutes_inside_the_pdnn_band():
+    # is_pdnn admits A_ij A_ji - |B_ij|^2 down to -feas_tol * scale^2, so
+    # the schur-pair and witness routes still refute pairs it lets through
+    for A, B, reason in (
+        (np.diag([2.0, 1.0]), [[2.0, 1e-4], [1e-4, 1.0]], "schur-pair"),
+        ([[1.0, 0.5 - 5e-7], [0.5 - 5e-7, 1.0]], [[1.0, 0.5], [0.5, 1.0]],
+         "witness"),
+    ):
+        p = pair_form(A, B)
+        assert is_pdnn(p)
+        out = pcp_checks(p)
+        assert out.status is Verdict.NON_MEMBER
+        assert out.certificate["reason"] == reason
+        assert verify_pair(p, out)
+
+
 def test_pcp_equal_pair_delegates_to_cp():
     Bm = berman_matrix().astype(float)
     p = pair_form(Bm, Bm)
@@ -702,6 +719,159 @@ def test_pcp_member_implies_chain():
     assert is_cldui_plus(p)
     assert is_pdec(p).status is Verdict.MEMBER
     assert is_copcp(p, effort="fast").status is Verdict.MEMBER
+
+
+def _pcp_pair(A, B):
+    """The pair (A, B) with B's diagonal replaced by A's, which the atoms
+    build only up to rounding."""
+    A = np.real(A)
+    return pair_form(A, ring(B) + np.diag(np.diag(A)))
+
+
+def _one_atom_plus_slack(rng, n, sparse):
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    w = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if sparse:
+        v[rng.random(n) < 0.35] = 0
+        w[rng.random(n) < 0.2] = 0
+    A, B = pw._atom(v, w)
+    N = np.abs(rng.normal(size=(n, n))) * (rng.random((n, n)) < 0.5)
+    return A + N, B
+
+
+def _atoms_check_passes(p, out):
+    rep = certificates.check(out, p)
+    return all(rep[k] for k in ("ok", "atoms_nonneg", "atoms_A", "atoms_B"))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 24])
+def test_pcp_one_atom_plus_unit_atoms_is_member(n, scale):
+    rng = np.random.default_rng([71, n])
+    for sparse in (False, True):
+        A, B = _one_atom_plus_slack(rng, n, sparse)
+        p = _pcp_pair(A * scale, B * scale)
+        out = pcp_checks(p)
+        assert out.status is Verdict.MEMBER
+        assert out.certificate["route"] == "atoms"
+        assert _atoms_check_passes(p, out)
+
+
+def test_pcp_two_by_two_pdnn_pairs_are_members():
+    # every 2 x 2 pdnn pair is one atom plus unit atoms
+    rng = np.random.default_rng(72)
+    for _ in range(50):
+        d = rng.uniform(0.1, 2.0, 2)
+        b = rng.uniform(0.05, 0.95) * np.sqrt(d[0] * d[1])
+        b12 = b * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        a12 = rng.uniform(0.05, 3.0)
+        a21 = b * b / a12 * rng.uniform(1.05, 3.0)
+        A = np.array([[d[0], a12], [a21, d[1]]])
+        B = np.array([[d[0], b12], [np.conj(b12), d[1]]])
+        p = pair_form(A, B)
+        assert is_pdnn(p)
+        out = pcp_checks(p)
+        assert out.status is Verdict.MEMBER
+        assert _atoms_check_passes(p, out)
+
+
+def _dictionary_fit(pair, seed=0, tol=1e-7):
+    """Reference: the greedy fit pcp_checks used before the one-atom split,
+    nonnegative least squares over unit atoms, the all-ones atom, 32 random
+    atoms and a derived atom per round; True when it certifies the pair."""
+    from scipy.optimize import nnls
+
+    A, B, n = pair.A, pair.B, pair.n
+
+    def vec(A, B):
+        iu = np.triu_indices(n, k=1)
+        Bo = ring(np.asarray(B, dtype=complex))
+        return np.concatenate([np.asarray(A, dtype=float).reshape(-1),
+                               np.sqrt(2.0) * Bo[iu].real,
+                               np.sqrt(2.0) * Bo[iu].imag])
+
+    def derive(RA, RB):
+        U, S, Vt = np.linalg.svd(np.clip(RA, 0.0, None))
+        wB, VB = np.linalg.eigh((RB + RB.conj().T) / 2)
+        zeta = VB[:, -1] * np.sqrt(max(wB[-1], 0.0))
+        w = np.sqrt(np.abs(Vt[0])) * np.exp(1j * np.angle(zeta))
+        return np.sqrt(np.abs(U[:, 0]) * np.sqrt(S[0])), w
+
+    rng = np.random.default_rng(seed)
+    eye = np.eye(n)
+    atoms = [(eye[i], eye[j]) for i in range(n) for j in range(n)]
+    atoms.append((np.ones(n), np.ones(n)))
+    atoms += [(rng.normal(size=n) + 1j * rng.normal(size=n),
+               rng.normal(size=n) + 1j * rng.normal(size=n))
+              for _ in range(32)]
+    parts = [pw._atom(v, w) for v, w in atoms]
+    cols = [vec(*q) for q in parts]
+    target = vec(A, B)
+    tscale = max(1.0, float(np.linalg.norm(target)))
+    RA, RB, best = A, np.asarray(B, dtype=complex), np.inf
+    for _ in range(50):
+        parts.append(pw._atom(*derive(RA, RB)))
+        cols.append(vec(*parts[-1]))
+        try:
+            lam, res = nnls(np.stack(cols, axis=1), target)
+        except RuntimeError:  # nnls hit its iteration cap
+            return False
+        best = min(best, res)
+        if res <= tol * tscale:
+            return True
+        RA = A - sum(l * q[0] for q, l in zip(parts, lam) if l > 0)
+        RB = B - sum(l * q[1] for q, l in zip(parts, lam) if l > 0)
+        if best > 0 and res > best * (1 - 1e-9) and len(cols) > n * n + 40:
+            return False
+    return False
+
+
+def test_pcp_split_certifies_what_the_dictionary_fit_did():
+    rng = np.random.default_rng(73)
+    fitted = 0
+    for t in range(60):
+        n = int(rng.integers(2, 6))
+        kind = t % 4
+        if kind == 0:
+            A, B = _one_atom_plus_slack(rng, n, sparse=bool(t % 8))
+        elif kind == 1:
+            A, B = pw._atom(rng.normal(size=n), rng.normal(size=n))
+        elif kind == 2:
+            A = np.abs(rng.normal(size=(n, n))) + 0.1 * np.eye(n)
+            B = np.diag(np.diag(A))
+        else:
+            A, B = (sum(q) for q in zip(*(
+                pw._atom(rng.normal(size=n) + 1j * rng.normal(size=n),
+                         rng.normal(size=n) + 1j * rng.normal(size=n))
+                for _ in range(2))))
+        p = _pcp_pair(A, B)
+        if _dictionary_fit(p, seed=t):
+            fitted += 1
+            out = pcp_checks(p)
+            assert out.status is Verdict.MEMBER, (t, n, kind)
+            assert _atoms_check_passes(p, out)
+    assert fitted >= 30
+
+
+def test_pcp_split_raises_no_warning():
+    # zero entries of A, zero rows of ring B and infeasible (two-atom)
+    # systems must not produce inf * 0 on the way to an unknown
+    rng = np.random.default_rng(74)
+    pairs = [_pcp_pair(*pw._atom(rng.normal(size=n) + 1j * rng.normal(size=n),
+                                 rng.normal(size=n) + 1j * rng.normal(size=n)))
+             for n in (3, 6, 24) for _ in range(2)]
+    for n in (3, 6, 24):
+        A = B = 0
+        for _ in range(2):
+            a, b = pw._atom(rng.normal(size=n) * (rng.random(n) < 0.7),
+                            rng.normal(size=n) + 1j * rng.normal(size=n))
+            A, B = A + a, B + b
+        pairs.append(_pcp_pair(A, B))
+    pairs.append(pair_form(np.eye(4), np.eye(4) + 0.0j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = [pcp_checks(p).status for p in pairs]
+    assert Verdict.MEMBER in verdicts and Verdict.UNKNOWN in verdicts
 
 
 # ---------------------------------------------------------------------------
