@@ -109,9 +109,11 @@ def pair_form(A, B, tol=None) -> MatrixPair:
     if A.shape != B.shape:
         raise DiagonalMismatch("A and B must have the same shape")
     dA, dB = np.diag(A), np.diag(B)
-    if float(np.max(np.abs(dB.imag))) > 1e-12:
+    # relative to the entries, so that rounding at large scale passes
+    slack = 1e-12 * max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
+    if float(np.max(np.abs(dB.imag))) > slack:
         raise DiagonalMismatch("diagonal of B must be real")
-    if float(np.max(np.abs(dA - dB.real))) > 1e-12:
+    if float(np.max(np.abs(dA - dB.real))) > slack:
         raise DiagonalMismatch("diag(A) and diag(B) must agree")
     A.setflags(write=False)
     B.setflags(write=False)
@@ -475,8 +477,18 @@ def is_pdec(pair: MatrixPair, tol=None) -> PairVerdict:
     """Pairwise decomposability: B = B1 + B2 with B1 psd, B2 hermitian,
     nonnegative diagonal, and |B2_ij|^2 <= A_ij A_ji off the diagonal.
 
-    Decided by one feasibility SDP after exact presolve of the entries
-    forced by zero diagonals or zero entry bounds.
+    Routes, in order:
+      1. A_entrywise: a negative entry of A refutes (NON_MEMBER);
+      2. forced_entry: a zero diagonal forces B1 = 0 on its row, so an
+         entry of that row above its bound refutes (NON_MEMBER);
+      3. psd split: B2 = 0, B1 = B, a member when B is psd;
+      4. clip split: B2 takes each off-diagonal entry of B up to its bound
+         sqrt(A_ij A_ji), B1 = B - B2, a member when that B1 is psd;
+      5. one feasibility SDP after exact presolve of the entries forced by
+         zero diagonals or zero entry bounds (MEMBER, or NON_MEMBER with a
+         Farkas certificate, or UNKNOWN).
+    A split is accepted only within the bounds certificates.check applies
+    to the B1/B2 certificate; its certificate names it under "split".
     """
     tol = as_tolerance(tol)
     A, B, n = pair.A, pair.B, pair.n
@@ -493,14 +505,8 @@ def is_pdec(pair: MatrixPair, tol=None) -> PairVerdict:
             detail="definition requires A entrywise nonnegative",
         )
 
-    R = np.sqrt(np.clip(A * A.T, 0.0, None))
-    np.fill_diagonal(R, 0.0)
-
-    # indices whose diagonal forces the psd part to vanish on that row/col
-    diag = np.real(np.diag(B))
-    forced = diag <= tol.feas_tol * scale
-    keep = [i for i in range(n) if not forced[i]]
-
+    R = _entry_bounds(pair)
+    forced = _forced_rows(pair, tol)
     # entries with a forced-zero psd part must satisfy the bound directly
     for i in range(n):
         for j in range(i + 1, n):
@@ -515,6 +521,62 @@ def is_pdec(pair: MatrixPair, tol=None) -> PairVerdict:
                                "and |B_ij| exceeds the bound",
                     )
 
+    M = _modulus(B)
+    clip = B * np.minimum(1.0, R / np.where(M > 0, M, 1.0))
+    for name, B2 in (("psd", np.zeros_like(B)), ("clip", clip)):
+        split = _split_verdict(pair, R, B2, tol, name)
+        if split is not None:
+            return split
+    return _pdec_sdp(pair, tol)
+
+
+def _entry_bounds(pair: MatrixPair) -> np.ndarray:
+    """R_ij = sqrt(A_ij A_ji) off the diagonal, the bound on |B2_ij|."""
+    R = np.sqrt(np.clip(pair.A * pair.A.T, 0.0, None))
+    np.fill_diagonal(R, 0.0)
+    return R
+
+
+def _forced_rows(pair: MatrixPair, tol: Tolerance) -> np.ndarray:
+    """Rows whose zero diagonal forces the psd part to vanish there."""
+    return np.real(np.diag(pair.B)) <= tol.feas_tol * pair.scale()
+
+
+def _margin_terms(B1, B2, R) -> tuple:
+    """lambda_min(B1), min diag(B2) and min(R - |ring B2|): the margin of a
+    B1/B2 certificate is their minimum."""
+    return (min_eig(B1), float(np.min(np.real(np.diag(B2)))),
+            float(np.min(R - np.abs(off_diag(B2)))))
+
+
+def _split_verdict(pair, R, B2, tol: Tolerance, name: str):
+    """The MEMBER verdict for B1 = B - B2 when the split passes the checks
+    certificates.check applies to a B1/B2 certificate, else None."""
+    B = np.asarray(pair.B, dtype=complex)
+    B2 = np.asarray(B2, dtype=complex)
+    B1 = B - B2
+    scale = pair.scale()
+    bound = tol.feas_tol * scale
+    lam, diag2, room = _margin_terms(B1, B2, R)
+    if (lam < -tol.eig_tol * scale or diag2 < -bound or room < -bound
+            or float(np.max(np.abs(B1 + B2 - B))) > bound):
+        return None
+    return PairVerdict(
+        Verdict.MEMBER, "pdec",
+        {"B1": B1, "B2": B2, "margin": min(lam, diag2, room), "split": name},
+        detail=f"explicit decomposition by the {name} split",
+    )
+
+
+def _pdec_sdp(pair: MatrixPair, tol: Tolerance) -> PairVerdict:
+    """is_pdec's SDP route: exact presolve, then one feasibility SDP."""
+    B, n = pair.B, pair.n
+    scale = pair.scale()
+    R = _entry_bounds(pair)
+    forced = _forced_rows(pair, tol)
+    diag = np.real(np.diag(B))
+    keep = [i for i in range(n) if not forced[i]]
+
     if not keep:
         B1 = np.zeros((n, n), dtype=complex)
         return PairVerdict(
@@ -528,7 +590,6 @@ def is_pdec(pair: MatrixPair, tol=None) -> PairVerdict:
     prob = SdpProblem()
     bone = prob.add_hpsd(k, "B1")
     slack = prob.add_nn(k, "diag-slack")
-    pair_refs = {}
     for ii in range(k):
         i = keep[ii]
         e = np.zeros(k)
@@ -545,7 +606,6 @@ def is_pdec(pair: MatrixPair, tol=None) -> PairVerdict:
                 prob.add_eq(float(B[i, j].imag), (bone, _pick_im(k, ii, jj)))
                 continue
             blk = prob.add_hpsd(2, f"bound-{i}-{j}")
-            pair_refs[(i, j)] = blk
             prob.add_eq(float(R[i, j]), (blk, _pick_diag(2, 0)))
             prob.add_eq(float(R[i, j]), (blk, _pick_diag(2, 1)))
             prob.add_eq(float(B[i, j].real), (blk, _pick_re(2, 0, 1)),
@@ -562,14 +622,9 @@ def is_pdec(pair: MatrixPair, tol=None) -> PairVerdict:
             for j in keep:
                 B1[i, j] = Bk[pos[i], pos[j]]
         B2 = np.asarray(B, dtype=complex) - B1
-        margin = min(
-            min_eig(B1),
-            float(np.min(np.real(np.diag(B2)))),
-            float(np.min(R - np.abs(off_diag(B2)))),
-        )
         return PairVerdict(
             Verdict.MEMBER, "pdec",
-            {"B1": B1, "B2": B2, "margin": float(margin),
+            {"B1": B1, "B2": B2, "margin": min(_margin_terms(B1, B2, R)),
              "solver_stats": sol.stats},
             detail="explicit decomposition found by SDP",
         )
@@ -588,7 +643,10 @@ def is_pdec(pair: MatrixPair, tol=None) -> PairVerdict:
 
 def pdec_sufficient(pair: MatrixPair) -> bool:
     """Entrywise sufficient condition for pairwise decomposability:
-    sqrt(A_ii A_jj)/(n-1) + sqrt(A_ij A_ji) >= |B_ij| for all i != j."""
+    sqrt(A_ii A_jj)/(n-1) + sqrt(A_ij A_ji) >= |B_ij| for all i != j.
+
+    is_pdec's clip split certifies every pair this accepts: its B1 is then
+    diagonally dominant after scaling by diag(A)^(-1/2) on both sides."""
     A, B, n = pair.A, pair.B, pair.n
     if n < 2 or float(np.min(A)) < 0:
         return False

@@ -506,6 +506,18 @@ def test_pcp_one_atom_split_loads_no_scipy(tmp_path):
                                "--A", a, "--B", b) == set()
 
 
+def test_pdec_psd_split_loads_no_scipy(tmp_path):
+    # the psd split decides the pair before an SDP is built
+    G = np.array([[2.0, 1.0, 0.0], [0.5j, 1.0, 1.0], [0.0, -1.0, 1.5]])
+    B = G @ G.conj().T
+    A = np.ones((3, 3))
+    A[np.diag_indices(3)] = np.real(np.diag(B))
+    a = write_matrix(tmp_path / "A.json", A)
+    b = write_matrix(tmp_path / "B.json", B)
+    assert scipy_modules_after("pair-check", "--cone", "pdec",
+                               "--A", a, "--B", b) == set()
+
+
 def test_sdp_route_loads_scipy_linalg_only():
     mods = scipy_modules_after("sigma", "--strategy", "sdp", "--graph",
                                "shrikhande")

@@ -58,6 +58,27 @@ def test_pair_form_rejects_diagonal_mismatch():
         pair_form(np.eye(2), 2 * np.eye(2))
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+def test_pair_form_accepts_atoms_at_any_scale(scale):
+    # diag(A) and diag(B) of an atom agree only up to rounding, which grows
+    # with the entries
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        v = rng.normal(size=5) + 1j * rng.normal(size=5)
+        w = rng.normal(size=5) + 1j * rng.normal(size=5)
+        A, B = pw._atom(v, w)
+        pair_form(scale * A, scale * B)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+def test_pair_form_rejects_relative_diagonal_mismatch(scale):
+    A = scale * np.ones((3, 3))
+    B = A.copy()
+    B[1, 1] *= 1 + 1e-6
+    with pytest.raises(DiagonalMismatch):
+        pair_form(A, B)
+
+
 def test_pair_form_rejects_complex_diagonal():
     B = np.array([[1j, 0.0], [0.0, 0.0]])
     with pytest.raises((DiagonalMismatch, ValueError)):
@@ -479,7 +500,9 @@ def test_pdec_passes_its_tolerance_to_the_solver(monkeypatch):
     G = catalog("pentagon")
     J, I = np.ones((5, 5)), np.eye(5)
     tol = Tolerance(eig_tol=1e-7, feas_tol=1e-6)
-    v = is_pdec(pair_form(J, I - 1.5 * G.adjacency), tol=tol)
+    # at t = 1.7 the clip split's B1 = I - 0.7 adj is not psd, and t is
+    # below sigma = 1.809, so only the SDP decides the pair
+    v = is_pdec(pair_form(J, I - 1.7 * G.adjacency), tol=tol)
     assert v.status is Verdict.MEMBER
     assert seen and all(t is tol for t in seen)
 
@@ -492,6 +515,7 @@ def test_pdec_petersen_family_threshold():
     member = is_pdec(pair_form(J, I - (5 / 3) * Adj))
     refused = is_pdec(pair_form(J, I - 1.9 * Adj))
     assert member.status is Verdict.MEMBER
+    assert member.certificate["solver_stats"]["iters"] > 0
     assert refused.status is Verdict.NON_MEMBER
     assert verify_pair(pair_form(J, I - 1.9 * Adj), refused)
 
@@ -526,6 +550,132 @@ def test_pdec_sufficient_implies_member(seed):
     p = pair_form(A, B)
     if pdec_sufficient(p):
         assert is_pdec(p).status is Verdict.MEMBER
+
+
+def _cldui_plus_pair(rng, n, scale=1.0):
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    B = G @ G.conj().T / n
+    A = np.abs(rng.normal(size=(n, n)))
+    A[np.diag_indices(n)] = np.real(np.diag(B))
+    return scale * A, scale * B
+
+
+def _sufficient_pair(rng, n, scale=1.0):
+    """A pair with pdec_sufficient(pair) and B not psd."""
+    A = np.abs(rng.normal(size=(n, n))) + 0.5
+    bound = np.sqrt(np.outer(np.diag(A), np.diag(A))) / (n - 1) + np.sqrt(A * A.T)
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n, n)))
+    B = 0.9 * bound * phase
+    B = np.triu(B, 1) + np.triu(B, 1).conj().T + np.diag(np.diag(A))
+    return scale * A, scale * B
+
+
+def _pdec_route(v):
+    return v.certificate.get("split", "sdp" if "solver_stats" in v.certificate
+                             else v.certificate.get("reason"))
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 24])
+def test_pdec_splits_certify_cldui_plus_and_sufficient_pairs(n, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the splits should decide these pairs")
+
+    monkeypatch.setattr(pw, "solve_sdp", no_solve)
+    rng = np.random.default_rng([17, n])
+    for _ in range(3):
+        p = pair_form(*_cldui_plus_pair(rng, n))
+        assert is_cldui_plus(p)
+        v = is_pdec(p)
+        assert v.status is Verdict.MEMBER and v.certificate["split"] == "psd"
+        assert certificates.check(v, p)["ok"]
+        q = pair_form(*_sufficient_pair(rng, n))
+        assert pdec_sufficient(q) and not is_psd(q.B)
+        v = is_pdec(q)
+        assert v.status is Verdict.MEMBER and v.certificate["split"] == "clip"
+        assert v.certificate["margin"] <= 0  # diag(B2) = 0
+        assert certificates.check(v, q)["ok"]
+
+
+def test_pdec_route_is_invariant_under_scaling_and_relabelling():
+    rng = np.random.default_rng(23)
+    G = catalog("pentagon")
+    J, I = np.ones((5, 5)), np.eye(5)
+    pairs = [_cldui_plus_pair(rng, 5), _sufficient_pair(rng, 5),
+             (J, I - 1.7 * G.adjacency), (J, I - 1.9 * G.adjacency)]
+    perm = rng.permutation(5)
+    routes = []
+    for A, B in pairs:
+        seen = set()
+        for s in (1e-3, 1.0, 1e3):
+            for P in (np.arange(5), perm):
+                p = pair_form(s * A[np.ix_(P, P)], s * B[np.ix_(P, P)])
+                v = is_pdec(p)
+                assert certificates.check(v, p)["ok"]
+                seen.add((v.status, _pdec_route(v)))
+        assert len(seen) == 1, seen
+        routes.append(seen.pop())
+    assert routes == [(Verdict.MEMBER, "psd"), (Verdict.MEMBER, "clip"),
+                      (Verdict.MEMBER, "sdp"), (Verdict.NON_MEMBER, "infeasible")]
+
+
+def test_pdec_psd_split_honours_the_eigenvalue_tolerance(monkeypatch):
+    # diagonal A bounds B2 to zero off the diagonal, so only a psd B passes
+    rng = np.random.default_rng(29)
+    V = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    B = V @ V.conj().T  # rank 3: lambda_min(B) = 0
+    p0 = pair_form(np.diag(np.real(np.diag(B))), B)
+    eps = 1e-6 * p0.scale()
+    B = B - eps * np.eye(5)
+    p = pair_form(np.diag(np.real(np.diag(B))), B)
+    assert np.isclose(np.linalg.eigvalsh(p.B)[0], -1e-6 * p.scale(), rtol=1e-3)
+
+    loose = is_pdec(p, tol=Tolerance(eig_tol=1e-5))
+    assert loose.status is Verdict.MEMBER and loose.certificate["split"] == "psd"
+    assert certificates.check(loose, p, Tolerance(eig_tol=1e-5))["ok"]
+
+    calls = []
+    solve = pw.solve_sdp
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pw, "solve_sdp", spy)
+    strict = is_pdec(p)
+    assert calls and "split" not in strict.certificate
+
+
+def test_pdec_splits_agree_with_the_sdp_route():
+    # every split verdict against the SDP route alone, on pairs around the
+    # split boundaries: psd B, clipped entries, and graph pairs (J, I - t adj)
+    rng = np.random.default_rng(41)
+    graphs = [catalog(name).adjacency.astype(float)
+              for name in ("pentagon", "petersen")]
+    split_members = 0
+    for k in range(36):
+        n = int(rng.integers(2, 7))
+        s = 10.0 ** rng.uniform(-3, 3)
+        if k % 3 == 0:
+            A, B = _cldui_plus_pair(rng, n, s)
+            B = B - rng.uniform(0, 0.2) * np.min(np.real(np.diag(B))) * np.eye(n)
+            A[np.diag_indices(n)] = np.real(np.diag(B))
+        elif k % 3 == 1:
+            A, B = _sufficient_pair(rng, n, s)
+            B = B * rng.uniform(1.0, 2.5)
+            A[np.diag_indices(n)] = np.real(np.diag(B))
+        else:
+            Adj = graphs[k % 2]
+            m = len(Adj)
+            t = rng.uniform(1.0, 2.2)
+            A, B = s * np.ones((m, m)), s * (np.eye(m) - t * Adj)
+        p = pair_form(A, B)
+        v = is_pdec(p)
+        if "split" not in v.certificate:
+            continue
+        split_members += 1
+        assert certificates.check(v, p)["ok"]
+        assert pw._pdec_sdp(p, Tolerance()).status is not Verdict.NON_MEMBER
+    assert split_members >= 12
 
 
 # ---------------------------------------------------------------------------
