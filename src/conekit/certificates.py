@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import cones, pairwise
+from . import cones, graphs, pairwise
 from .cones import Verdict
 from .graphs import SigmaResult
 from .linalg import Tolerance, as_tolerance, inner, min_eig, off_diag, symmetrize
@@ -244,4 +244,23 @@ def _verify_sigma_certificate(G, res, tol: Tolerance) -> dict:
                        for i, u in enumerate(K) for v in K[i + 1:]))
         record(rep, "coloring_value",
                k >= 2 and abs(res.value - k / (k - 1)) <= 1e-12)
+    if "core" in cert:
+        record(rep, "core_steps", _core_steps_valid(G, cert["core"]))
     return rep
+
+
+def _core_steps_valid(G, core: dict) -> bool:
+    """Replay the hub and fold steps of a core-reduction certificate on G,
+    each against the vertices still present, and compare what is left with
+    ``vertices``."""
+    adj = graphs._adjacency_bits(G)
+    alive = (1 << G.n) - 1
+    for kind, *ends in core["steps"]:
+        ends = [int(x) for x in ends]
+        if not ends or not all(0 <= x < G.n and alive >> x & 1 for x in ends):
+            return False
+        if not graphs._core_step_applies(adj, alive, (kind, *ends)):
+            return False
+        alive &= ~(1 << ends[0])
+    left = sorted(int(v) for v in core["vertices"])
+    return left == [v for v in range(G.n) if alive >> v & 1]

@@ -12,9 +12,10 @@ Provided here: a small immutable ``Graph`` type with a graph6 codec, exact
 maximum cliques by branch and bound, sigma via a direct SDP with explicit
 primal/dual certificates, symmetry-reduced linear programs (circulant and
 rank-3 strongly regular), exact closed forms (cycles, rank-3 strongly
-regular graphs, and graphs with an omega-colouring), the level-r theta
-bound, a catalog of named graphs, and a scanner for gap graphs over graph6
-lists.
+regular graphs, and graphs with an omega-colouring), an exact reduction
+of sigma to a smaller graph by folding dominated vertices and peeling
+universal ones, the level-r theta bound, a catalog of named graphs, and a
+scanner for gap graphs over graph6 lists.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -547,13 +548,19 @@ def sigma(G: Graph, strategy: str = "auto", tol=None) -> SigmaResult:
     Strategies: ``auto`` (closed form for catalog rank-3 strongly regular
     graphs and detected cycles; then, when a proper colouring with
     omega(G) colours exists, i.e. chi(G) = omega(G), the exact value
-    omega/(omega - 1); otherwise the direct SDP), ``sdp``, ``twirl``
-    (symmetry-reduced LP, raising UnsupportedSymmetry when no reduction
-    applies), ``circulant`` and ``srg3`` (the two reductions individually).
-    The certificate carries the splitting J - tA = P + E at the optimum and a
-    dual witness X (PSD, entrywise nonnegative, <A,X> = 1, <J,X> = value);
-    the colouring route adds the ``coloring`` and ``clique`` that fix it.
-    Since that route needs chi = omega, every gap graph has chi > omega.
+    omega/(omega - 1); then a core reduction to a smaller graph H, whose
+    sigma comes from this same route and whose certificate is lifted back;
+    otherwise the direct SDP), ``sdp``, ``twirl`` (symmetry-reduced LP,
+    raising UnsupportedSymmetry when no reduction applies), ``circulant`` and
+    ``srg3`` (the two reductions individually).  The reduction folds a
+    vertex v onto a non-neighbour u with N(v) inside N(u), which leaves sigma
+    unchanged, and peels a universal vertex, with sigma(H v K_1) =
+    2 - 1/sigma(H).  The certificate carries the splitting J - tA = P + E at
+    the optimum and a dual witness X (PSD, entrywise nonnegative,
+    <A,X> = 1, <J,X> = value); the colouring route adds the ``coloring``
+    and ``clique`` that fix it, the reduction its ``core`` steps, the
+    vertices left and their route.  Since the colouring route needs
+    chi = omega, every gap graph has chi > omega.
     """
     return _sigma(G, strategy, tol)
 
@@ -564,17 +571,7 @@ def _sigma(G: Graph, strategy: str, tol=None, clique=None) -> SigmaResult:
         raise ValueError("sigma requires a graph with at least one edge")
     key = strategy.strip().lower()
     if key == "auto":
-        if G.srg is not None and G.rank3:
-            res = _sigma_srg_closed(G)
-        elif (order := _cycle_order(G)) is not None:
-            res = _sigma_cycle_closed(G, order)
-        else:
-            K = max_clique(G) if clique is None else clique
-            coloring = _omega_coloring(G, K)
-            if coloring is not None:
-                res = _sigma_coloring_closed(G, K, coloring)
-            else:
-                res = _sigma_sdp(G, tol)
+        res = _sigma_auto(G, tol, clique)
     elif key == "sdp":
         res = _sigma_sdp(G, tol)
     elif key == "twirl":
@@ -591,6 +588,118 @@ def _sigma(G: Graph, strategy: str, tol=None, clique=None) -> SigmaResult:
             f"sigma value {res.value} below the universal bound {lower}"
         )
     return res
+
+
+def _sigma_auto(G: Graph, tol=None, clique=None) -> SigmaResult:
+    if G.srg is not None and G.rank3:
+        return _sigma_srg_closed(G)
+    if (order := _cycle_order(G)) is not None:
+        return _sigma_cycle_closed(G, order)
+    K = max_clique(G) if clique is None else clique
+    coloring = _omega_coloring(G, K)
+    if coloring is not None:
+        return _sigma_coloring_closed(G, K, coloring)
+    steps, vertices = _core_reduction(G)
+    if steps:
+        return _sigma_core(G, tol, steps, vertices)
+    return _sigma_sdp(G, tol)
+
+
+def _core_reduction(G: Graph) -> tuple[list, list]:
+    """Steps that pass G to a smaller graph with the same sigma, and the
+    vertices left, until no step applies; hubs are tried before folds, each
+    on the lowest labels first."""
+    adj = _adjacency_bits(G)
+    alive = (1 << G.n) - 1
+    steps = []
+    while True:
+        live = [v for v in range(G.n) if alive >> v & 1]
+        candidates = chain(
+            (("hub", h) for h in live),
+            (("fold", v, u) for v in live for u in live if u != v),
+        )
+        step = next((s for s in candidates if _core_step_applies(adj, alive, s)), None)
+        if step is None:
+            return steps, live
+        steps.append(step)
+        alive &= ~(1 << step[1])
+
+
+def _core_step_applies(adj: list, alive: int, step) -> bool:
+    """Whether a reduction step applies among the vertices of the bitset
+    ``alive``: ``("hub", h)`` peels h when it is adjacent to every other
+    vertex and an edge remains without it; ``("fold", v, u)`` removes v when
+    u is not adjacent to v and N(v) lies inside N(u), so v -> u retracts the
+    graph onto the graph without v."""
+    kind, w, *target = step
+    rest = alive & ~(1 << w)
+    if kind == "hub" and not target:
+        return adj[w] & alive == rest and any(
+            adj[x] & rest for x in range(len(adj)) if rest >> x & 1
+        )
+    if kind == "fold" and len(target) == 1:
+        u = target[0]
+        return u != w and not adj[w] >> u & 1 and not adj[w] & alive & ~adj[u]
+    return False
+
+
+def _border(M: np.ndarray, i: int, edge, corner: float) -> np.ndarray:
+    """M with a row and column inserted at index i: ``edge`` off the
+    diagonal, ``corner`` on it."""
+    edge = np.broadcast_to(np.asarray(edge, dtype=float), M.shape[:1])
+    M = np.insert(M, i, edge, axis=1)
+    return np.insert(M, i, np.insert(edge, i, corner), axis=0)
+
+
+def _sigma_core(G: Graph, tol, steps: list, vertices: list) -> SigmaResult:
+    """sigma(G) from sigma of the reduced graph H = G[vertices], with H's
+    certificate lifted back through the steps in reverse.
+
+    A fold v -> u is a homomorphism f of G onto G - v, and G - v is induced
+    in G, so sigma is unchanged: P = P_H[f, f], E = E_H[f, f] +
+    sigma (A_H[f, f] - A_G) (a sum of 0/1 terms, since f keeps edges), and X
+    is X_H with a zero row and column at v.  A hub gives sigma(H v K_1) =
+    2 - 1/sigma(H) = s: P = [[1, (1-s) 1^T], [(1-s) 1, (s/sigma) P_H +
+    (s-1)^2 J]] (Schur complement (s/sigma) P_H), E = (s/sigma) E_H with a zero
+    hub row, and X = [[a X_H, b x], [b x^T, c]] with x = X_H 1, a = 1/(2 sigma
+    - 1), b = (sigma - 1)/(sigma (2 sigma - 1)), c = (sigma - 1)^2/(sigma
+    (2 sigma - 1)), so <A, X> = 1, <J, X> = s and the Schur complement of the
+    H block is 0.
+    """
+    inner = _sigma_auto(G.subgraph(vertices), tol)
+    value = inner.value
+    P, E, X = (np.asarray(inner.certificate[k]) for k in ("P", "E", "dual_X"))
+    A = np.asarray(G.adjacency)
+    kept = list(vertices)
+    for kind, w, *target in reversed(steps):
+        grown = sorted(kept + [w])
+        i = grown.index(w)
+        if kind == "fold":
+            image = [target[0] if x == w else x for x in grown]
+            f = [kept.index(x) for x in image]
+            P = P[np.ix_(f, f)]
+            pulled = A[np.ix_(image, image)] - A[np.ix_(grown, grown)]
+            E = E[np.ix_(f, f)] + value * pulled
+            X = _border(X, i, 0.0, 0.0)
+        else:
+            s = 2.0 - 1.0 / value
+            d = 2.0 * value - 1.0
+            P = _border((s / value) * P + (s - 1.0) ** 2, i, 1.0 - s, 1.0)
+            E = _border((s / value) * E, i, 0.0, 0.0)
+            X = _border(X / d, i, (value - 1.0) / (value * d) * X.sum(axis=1),
+                        (value - 1.0) ** 2 / (value * d))
+            value = s
+        kept = grown
+    J = np.ones((G.n, G.n))
+    cert = {
+        "P": P,
+        "E": E,
+        "t": value,
+        "dual_X": X,
+        "residual": float(np.max(np.abs(J - value * A - P - E))),
+        "core": {"steps": steps, "vertices": vertices, "provenance": inner.provenance},
+    }
+    return SigmaResult(value, "core-reduction", cert)
 
 
 def _sigma_sdp(G: Graph, tol=None) -> SigmaResult:

@@ -105,14 +105,16 @@ def pair_form(A, B, tol=None) -> MatrixPair:
             raise ValueError("A must be real")
         A = A.real.copy()
     A = A.astype(float)
-    B = check_hermitian(B)
+    B = as_square(B)
     if A.shape != B.shape:
         raise DiagonalMismatch("A and B must have the same shape")
-    dA, dB = np.diag(A), np.diag(B)
     # relative to the entries, so that rounding at large scale passes
     slack = 1e-12 * max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
-    if float(np.max(np.abs(dB.imag))) > slack:
+    # before hermitizing, which would make the diagonal exactly real
+    if float(np.max(np.abs(np.diag(B).imag))) > slack:
         raise DiagonalMismatch("diagonal of B must be real")
+    B = check_hermitian(B)
+    dA, dB = np.diag(A), np.diag(B)
     if float(np.max(np.abs(dA - dB.real))) > slack:
         raise DiagonalMismatch("diag(A) and diag(B) must agree")
     A.setflags(write=False)

@@ -91,3 +91,27 @@ def test_pcp_atoms_with_a_negative_weight_fail():
     assert rep["atoms_A"] and rep["atoms_B"]
     assert rep["atoms_nonneg"] is False and rep["ok"] is False
     assert not pairwise.verify_pair(pair, fake)
+
+
+def test_sigma_core_steps_are_replayed_on_the_graph():
+    G = graphs.catalog("tadpole51")
+    res = graphs.sigma(G)
+    core = res.certificate["core"]
+    assert core["steps"] == [("fold", 5, 1)]
+    assert check(res, G)["core_steps"]
+    # 5 is adjacent to 0, not to 1: folding it onto 0 breaks an edge
+    forged = forge(res, core={**core, "steps": [("fold", 5, 0)]})
+    rep = check(forged, G)
+    assert rep["core_steps"] is False and rep["ok"] is False
+    # the same steps from a saved JSON report, and a wrong vertex list
+    saved = forge(res, core={**core, "steps": [["fold", 5, 1]]})
+    assert check(saved, G)["core_steps"]
+    short = forge(res, core={**core, "vertices": [0, 1, 2, 3]})
+    assert check(short, G)["core_steps"] is False
+    # a hub must be adjacent to every vertex still present
+    W = graphs.catalog("wheel6")
+    hub = graphs.sigma(W)
+    assert hub.certificate["core"]["steps"] == [("hub", 5)]
+    moved = forge(hub, core={**hub.certificate["core"], "steps": [("hub", 0)],
+                             "vertices": [1, 2, 3, 4, 5]})
+    assert check(moved, W)["core_steps"] is False

@@ -206,6 +206,16 @@ def test_pair_check_diagonal_mismatch_is_usage_error(capsys, tmp_path):
     assert code == 64
 
 
+def test_pair_check_complex_diagonal_is_usage_error(capsys, tmp_path):
+    B = np.eye(3, dtype=complex)
+    B[0, 0] += 1e-6j
+    a = write_matrix(tmp_path / "ca.json", np.eye(3))
+    b = write_matrix(tmp_path / "cb.json", B)
+    code = main(["pair-check", "--cone", "copcp", "--A", a, "--B", b])
+    assert code == 64
+    assert "diagonal of B must be real" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # graph commands
 
@@ -488,6 +498,8 @@ def scipy_modules_after(*argv):
     ("sigma", "--graph", "petersen"),
     ("classify-map", "--graph", "c5"),
     ("srg-catalog",),
+    ("sigma", "--graph", "wheel6"),
+    ("sigma", "--graph", "tadpole51"),
 ])
 def test_closed_form_routes_load_no_scipy(argv):
     assert scipy_modules_after(*argv) == set()

@@ -1,3 +1,4 @@
+import collections
 import math
 import pathlib
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conekit.graphs as gr
-from conekit.certificates import _verify_sigma_certificate
+from conekit.certificates import _verify_sigma_certificate, check
 from conekit.cones import SizeLimit
 from conekit.linalg import Tolerance
 
@@ -342,21 +343,46 @@ def test_sigma_coloring_route_k4_minus_edge():
     _check_sigma_cert(g, res)
 
 
-@pytest.mark.parametrize("name", ["wheel6", "tadpole51", "squarepath"])
-def test_sigma_gap_graphs_need_the_sdp(name):
-    # chi > omega on the six-vertex gap graphs, so no omega-colouring exists
-    assert gr.sigma(gr.catalog(name)).provenance == "sdp"
+@pytest.mark.parametrize("name, value", [
+    ("wheel6", 1 + 1 / PHI),
+    ("tadpole51", 1 + math.cos(math.pi / 5)),
+    ("squarepath", 1 + math.cos(math.pi / 5)),
+], ids=["wheel6", "tadpole51", "squarepath"])
+def test_sigma_gap_graphs_reduce_to_the_pentagon(name, value):
+    # chi > omega on the six-vertex gap graphs, so no omega-colouring exists;
+    # wheel6 peels its hub, tadpole51 folds 5 onto 1, squarepath 1 onto 3
+    g = gr.catalog(name)
+    res = gr.sigma(g)
+    assert res.provenance == "core-reduction"
+    assert res.certificate["core"]["provenance"] == "cycle-closed-form"
+    assert abs(res.value - value) <= 1e-12
+    assert res.certificate["E"].min() >= 0
+    assert res.certificate["dual_X"].min() >= 0
+    assert check(res, g)["ok"]
+
+
+def test_sigma_gap_graph_without_hub_or_fold_takes_the_sdp():
+    g = gr.Graph.from_graph6("FhEK_")
+    assert gr._omega_coloring(g, gr.max_clique(g)) is None
+    assert gr._core_reduction(g) == ([], list(range(7)))
+    res = gr.sigma(g)
+    assert res.provenance == "sdp"
+    assert check(res, g)["ok"]
 
 
 def test_sigma_coloring_certificates_over_lists():
-    routes = set()
+    routes = collections.Counter()
     for g in _connected(5, 6, 7):
         res = gr.sigma(g)
-        routes.add(res.provenance)
+        routes[res.provenance] += 1
         if res.provenance == "coloring-closed-form":
             _check_coloring_cert_exact(g, res)
             _check_sigma_cert(g, res, tol=1e-12)
-    assert routes == {"coloring-closed-form", "cycle-closed-form", "sdp"}
+        elif res.provenance == "core-reduction":
+            _check_sigma_cert(g, res, tol=1e-12)
+            assert check(res, g)["core_steps"]
+    assert routes == {"coloring-closed-form": 948, "cycle-closed-form": 3,
+                      "core-reduction": 27, "sdp": 8}
 
 
 def test_sigma_auto_matches_sdp_on_small_graphs():
@@ -382,11 +408,61 @@ def test_sigma_coloring_route_relabelling_invariant():
 
 
 def test_sigma_coloring_budget_falls_through_to_sdp(monkeypatch):
-    g = gr.Graph.from_graph6("C}")
+    # chi = omega = 3, but no hub, fold or cycle to take instead
+    g = gr.Graph.from_graph6("EZEG")
     monkeypatch.setattr(gr, "_COLORING_NODE_BUDGET", 0)
     res = gr.sigma(g)
     assert res.provenance == "sdp"
     assert res.value == pytest.approx(1.5, abs=1e-6)
+
+
+def test_sigma_coloring_budget_falls_through_to_core_reduction(monkeypatch):
+    # K4 minus the edge 23: peel hub 0, fold 2 onto 3, and the colouring
+    # decides the K2 left without a search node
+    g = gr.Graph.from_graph6("C}")
+    monkeypatch.setattr(gr, "_COLORING_NODE_BUDGET", 0)
+    res = gr.sigma(g)
+    assert res.provenance == "core-reduction"
+    assert res.certificate["core"] == {
+        "steps": [("hub", 0), ("fold", 2, 3)],
+        "vertices": [1, 3],
+        "provenance": "coloring-closed-form",
+    }
+    assert res.value == 1.5
+    assert check(res, g)["ok"]
+
+
+def test_sigma_core_route_relabelling_invariant():
+    rng = np.random.default_rng(7)
+    graphs = [g for g in _connected(6, 7) if len(gr._core_reduction(g)[0])]
+    graphs += [gr.catalog(name) for name in ("wheel6", "tadpole51", "squarepath")]
+    closed = ("cycle-closed-form", "coloring-closed-form", "srg-closed-form")
+    for g in graphs:
+        perm = rng.permutation(g.n)
+        h = gr.Graph(g.n, frozenset((perm[u], perm[v]) for u, v in g.edges))
+        a, b = gr.sigma(g), gr.sigma(h)
+        assert a.provenance == b.provenance, g.to_graph6()
+        if a.provenance != "core-reduction":
+            continue
+        inner = {a.certificate["core"]["provenance"], b.certificate["core"]["provenance"]}
+        assert abs(a.value - b.value) <= (1e-12 if inner <= set(closed) else 1e-6)
+        assert check(b, h)["ok"]
+
+
+def test_sigma_core_route_hubs_and_a_fold_match_the_sdp():
+    # the pentagon joined to K2 (vertices 5 and 6), with a pendant vertex 7
+    # on 0 that folds onto 1 before the two hubs peel
+    edges = {(i, (i + 1) % 5) for i in range(5)} | {(5, 6), (0, 7)}
+    edges |= {(i, h) for i in range(5) for h in (5, 6)}
+    g = gr.Graph(8, frozenset(edges))
+    res = gr.sigma(g)
+    assert res.provenance == "core-reduction"
+    assert [s[0] for s in res.certificate["core"]["steps"]] == ["fold", "hub", "hub"]
+    s1 = 2 - 1 / (1 + math.cos(math.pi / 5))
+    assert abs(res.value - (2 - 1 / s1)) <= 1e-12
+    assert res.value == pytest.approx(gr.sigma(g, strategy="sdp").value, abs=1e-6)
+    assert check(res, g)["ok"]
+    _check_sigma_cert(g, res, tol=1e-12)
 
 
 def test_sigma_dual_bound_matches():

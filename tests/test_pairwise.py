@@ -85,6 +85,18 @@ def test_pair_form_rejects_complex_diagonal():
         pair_form(np.zeros((2, 2)), B)
 
 
+def test_pair_form_checks_the_diagonal_of_b_before_hermitizing():
+    # above the relative slack the imaginary part is a diagonal mismatch,
+    # not a non-hermitian matrix; below it, it is rounding and dropped
+    B = np.eye(3, dtype=complex)
+    B[0, 0] += 1e-6j
+    with pytest.raises(DiagonalMismatch, match="diagonal of B must be real"):
+        pair_form(np.eye(3), B)
+    B[0, 0] = 1 + 1e-13j
+    p = pair_form(np.eye(3), B)
+    assert np.isrealobj(p.B) and np.array_equal(p.B, np.eye(3))
+
+
 def test_pair_form_rejects_nonhermitian_b():
     with pytest.raises(ValueError):
         pair_form(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
