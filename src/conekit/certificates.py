@@ -221,15 +221,18 @@ def _verify_sigma_certificate(G, res, tol: Tolerance) -> dict:
     record(rep, "split_residual", resid <= 1e3 * tol.feas_tol * n)
     record(rep, "P_psd", min_eig(P) >= -1e3 * tol.eig_tol * n)
     record(rep, "E_nonneg", float(np.min(E)) >= -1e2 * tol.feas_tol)
-    if "dual_X" in cert and cert["dual_X"] is not None:
-        X = np.asarray(cert["dual_X"])
-        record(rep, "X_nonneg", float(np.min(X)) >= -1e2 * tol.feas_tol)
-        record(rep, "X_psd", min_eig(X) >= -1e3 * tol.eig_tol)
-        record(rep, "X_normalized", abs(inner(A, X) - 1.0) <= 1e3 * tol.feas_tol)
-        # the split bounds sigma from below only loosely (any smaller value
-        # also splits), so <J, X> must pin the value itself
-        record(rep, "X_value", abs(float(np.sum(X)) - res.value)
-               <= 1e2 * tol.feas_tol * (1.0 + abs(res.value)))
+    # the split bounds sigma from below only loosely (any smaller value also
+    # splits), so a dual X with <J, X> = value must pin the value itself; a
+    # certificate without one fails every X check
+    X = cert.get("dual_X")
+    record(rep, "dual_X_present", X is not None)
+    record(rep, "X_nonneg", X is not None
+           and float(np.min(X)) >= -1e2 * tol.feas_tol)
+    record(rep, "X_psd", X is not None and min_eig(X) >= -1e3 * tol.eig_tol)
+    record(rep, "X_normalized", X is not None
+           and abs(inner(A, X) - 1.0) <= 1e3 * tol.feas_tol)
+    record(rep, "X_value", X is not None and abs(float(np.sum(X)) - res.value)
+           <= 1e2 * tol.feas_tol * (1.0 + abs(res.value)))
     if "coloring" in cert and "clique" in cert:
         # exact combinatorial re-check: a k-clique and a proper colouring
         # with at most k colours pin sigma at k/(k-1)

@@ -9,7 +9,7 @@ Subcommand-specific options:
 
     cone-check   --cone {cp,dnn,spn,cop,kr,kr-dual} --in FILE [--level R]
     pair-check   --cone {copcp,pdec,pcp,pdnn,cldui+} --A FILE --B FILE
-    sigma        --graph GRAPH [--strategy {auto,sdp,twirl,circulant,srg3}]
+    sigma        --graph GRAPH [--strategy {auto,sdp}]
     classify-map --graph GRAPH
     scan-gap     --in FILE [--gap-tol X]
     srg-catalog
@@ -523,7 +523,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument(
         "--strategy",
-        choices=("auto", "sdp", "twirl", "circulant", "srg3"),
+        choices=("auto", "sdp"),
         default="auto",
     )
     p.set_defaults(handler=_run_sigma)

@@ -9,13 +9,12 @@ strictly below the clique threshold ("gap graphs") carry indecomposable
 positive maps.
 
 Provided here: a small immutable ``Graph`` type with a graph6 codec, exact
-maximum cliques by branch and bound, sigma via a direct SDP with explicit
-primal/dual certificates, symmetry-reduced linear programs (circulant and
-rank-3 strongly regular), exact closed forms (cycles, rank-3 strongly
-regular graphs, and graphs with an omega-colouring), an exact reduction
-of sigma to a smaller graph by folding dominated vertices and peeling
-universal ones, the level-r theta bound, a catalog of named graphs, and a
-scanner for gap graphs over graph6 lists.
+maximum cliques by branch and bound, sigma by exact closed forms (cycles,
+rank-3 strongly regular graphs, and graphs with an omega-colouring), by an
+exact reduction to a smaller graph that folds dominated vertices and peels
+universal ones, or by a direct SDP, each with a primal split and a dual
+witness that pins the value, the level-r theta bound, a catalog of named
+graphs, and a scanner for gap graphs over graph6 lists.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .cones import (
     _sym_from_upper,
 )
 from .linalg import as_tolerance, eig_sym
-from .optim import SdpStatus, solve_lp, solve_sdp
+from .optim import SdpStatus, solve_sdp
 
 __all__ = [
     "Graph",
@@ -48,7 +47,6 @@ __all__ = [
     "ThetaResult",
     "ThresholdReport",
     "GapRecord",
-    "UnsupportedSymmetry",
     "UnsupportedOrder",
     "InconsistentParams",
     "lambda_max",
@@ -57,7 +55,6 @@ __all__ = [
     "independence_number",
     "sigma",
     "sigma_dual_bound",
-    "sigma_twirled",
     "srg_sigma",
     "theta_r",
     "classify_map",
@@ -69,10 +66,6 @@ __all__ = [
     "scan_gap",
     "SRG_TABLE",
 ]
-
-
-class UnsupportedSymmetry(ValueError):
-    """No symmetry reduction applies to this graph."""
 
 
 class UnsupportedOrder(ValueError):
@@ -535,6 +528,22 @@ class SigmaResult:
     certificate: dict
 
 
+def _sigma_result(G: Graph, value: float, provenance: str, P, E, X,
+                  **extra) -> SigmaResult:
+    """The one builder of a SigmaResult: the split J - value A = P + E, its
+    largest residual entry, the dual witness X and the route's own keys."""
+    A = np.asarray(G.adjacency)
+    cert = {
+        "P": P,
+        "E": E,
+        "t": value,
+        "dual_X": X,
+        "residual": float(np.max(np.abs(1.0 - value * A - P - E))),
+        **extra,
+    }
+    return SigmaResult(value, provenance, cert)
+
+
 @dataclass(frozen=True)
 class ThetaResult:
     value: float
@@ -550,17 +559,16 @@ def sigma(G: Graph, strategy: str = "auto", tol=None) -> SigmaResult:
     omega(G) colours exists, i.e. chi(G) = omega(G), the exact value
     omega/(omega - 1); then a core reduction to a smaller graph H, whose
     sigma comes from this same route and whose certificate is lifted back;
-    otherwise the direct SDP), ``sdp``, ``twirl`` (symmetry-reduced LP,
-    raising UnsupportedSymmetry when no reduction applies), ``circulant`` and
-    ``srg3`` (the two reductions individually).  The reduction folds a
-    vertex v onto a non-neighbour u with N(v) inside N(u), which leaves sigma
-    unchanged, and peels a universal vertex, with sigma(H v K_1) =
-    2 - 1/sigma(H).  The certificate carries the splitting J - tA = P + E at
-    the optimum and a dual witness X (PSD, entrywise nonnegative,
-    <A,X> = 1, <J,X> = value); the colouring route adds the ``coloring``
-    and ``clique`` that fix it, the reduction its ``core`` steps, the
-    vertices left and their route.  Since the colouring route needs
-    chi = omega, every gap graph has chi > omega.
+    otherwise the direct SDP) and ``sdp`` (the direct SDP alone).  The
+    reduction folds a vertex v onto a non-neighbour u with N(v) inside N(u),
+    which leaves sigma unchanged, and peels a universal vertex, with
+    sigma(H v K_1) = 2 - 1/sigma(H).  Every certificate carries the
+    splitting J - tA = P + E at the optimum and a dual witness X (PSD,
+    entrywise nonnegative, <A,X> = 1, <J,X> = value) that pins the value
+    from above; the colouring route adds the ``coloring`` and ``clique``
+    that fix it, the reduction its ``core`` steps, the vertices left and
+    their route.  Since the colouring route needs chi = omega, every gap
+    graph has chi > omega.
     """
     return _sigma(G, strategy, tol)
 
@@ -574,12 +582,6 @@ def _sigma(G: Graph, strategy: str, tol=None, clique=None) -> SigmaResult:
         res = _sigma_auto(G, tol, clique)
     elif key == "sdp":
         res = _sigma_sdp(G, tol)
-    elif key == "twirl":
-        res = sigma_twirled(G, tol)
-    elif key == "circulant":
-        res = _sigma_circulant(G, tol)
-    elif key == "srg3":
-        res = _sigma_srg3(G, tol)
     else:
         raise ValueError(f"unknown sigma strategy {strategy!r}")
     lower = 1.0 + 1.0 / (G.n - 1) if G.n > 1 else 1.0
@@ -690,16 +692,8 @@ def _sigma_core(G: Graph, tol, steps: list, vertices: list) -> SigmaResult:
                         (value - 1.0) ** 2 / (value * d))
             value = s
         kept = grown
-    J = np.ones((G.n, G.n))
-    cert = {
-        "P": P,
-        "E": E,
-        "t": value,
-        "dual_X": X,
-        "residual": float(np.max(np.abs(J - value * A - P - E))),
-        "core": {"steps": steps, "vertices": vertices, "provenance": inner.provenance},
-    }
-    return SigmaResult(value, "core-reduction", cert)
+    core = {"steps": steps, "vertices": vertices, "provenance": inner.provenance}
+    return _sigma_result(G, value, "core-reduction", P, E, X, core=core)
 
 
 def _sigma_sdp(G: Graph, tol=None) -> SigmaResult:
@@ -719,16 +713,9 @@ def _sigma_sdp(G: Graph, tol=None) -> SigmaResult:
             f"residuals {sol.residuals}"
         )
     E = _sym_from_upper(evec, n)
-    cert = {
-        "P": P,
-        "E": E,
-        "t": value,
-        "dual_X": X,
-        "residual": float(np.max(np.abs(J - value * A - P - E))),
-        "dual_pairing": float(np.sum(A * X)),
-        "dual_value": float(np.sum(X)),
-    }
-    return SigmaResult(value, "sdp", cert)
+    return _sigma_result(G, value, "sdp", P, E, X,
+                         dual_pairing=float(np.sum(A * X)),
+                         dual_value=float(np.sum(X)))
 
 
 def _sigma_coloring_closed(G: Graph, clique: Sequence[int], coloring) -> SigmaResult:
@@ -750,16 +737,9 @@ def _sigma_coloring_closed(G: Graph, clique: Sequence[int], coloring) -> SigmaRe
     ind = np.zeros(n)
     ind[list(clique)] = 1.0
     X = np.outer(ind, ind) / (k * (k - 1.0))
-    cert = {
-        "P": P,
-        "E": E,
-        "t": value,
-        "dual_X": X,
-        "coloring": [int(c) for c in coloring],
-        "clique": [int(v) for v in clique],
-        "residual": float(np.max(np.abs(J - value * A - P - E))),
-    }
-    return SigmaResult(value, "coloring-closed-form", cert)
+    return _sigma_result(G, value, "coloring-closed-form", P, E, X,
+                         coloring=[int(c) for c in coloring],
+                         clique=[int(v) for v in clique])
 
 
 def sigma_dual_bound(G: Graph, tol=None) -> tuple[float, np.ndarray]:
@@ -772,18 +752,6 @@ def sigma_dual_bound(G: Graph, tol=None) -> tuple[float, np.ndarray]:
         raise ValueError("the dual bound requires at least one edge")
     cert = _sigma_sdp(G, tol).certificate
     return cert["dual_value"], cert["dual_X"]
-
-
-def sigma_twirled(G: Graph, tol=None) -> SigmaResult:
-    """sigma computed in a fixed-point algebra of known symmetries.
-
-    Cycles (and graphs presented with a circulant labeling) reduce to a
-    circulant LP; catalog rank-3 strongly regular graphs reduce to a
-    two-variable LP.  Raises UnsupportedSymmetry when neither applies.
-    """
-    if G.srg is not None and G.rank3:
-        return _sigma_srg3(G, tol)
-    return _sigma_circulant(G, tol)
 
 
 def _cycle_order(G: Graph):
@@ -802,94 +770,6 @@ def _cycle_order(G: Graph):
         order.append(nxt)
         prev, cur = cur, nxt
     return order
-
-
-def _circulant_structure(G: Graph):
-    """A class-indicator vector and vertex order making A circulant."""
-    n = G.n
-    if n >= 3 and G.edges:
-        A = np.asarray(G.adjacency)
-        if all(np.array_equal(A[i], np.roll(A[0], i)) for i in range(n)):
-            a = [0.0] * (n // 2 + 1)
-            for k in range(1, n // 2 + 1):
-                a[k] = float(A[0, k])
-            return a, list(range(n))
-        order = _cycle_order(G)
-        if order is not None:
-            a = [0.0] * (n // 2 + 1)
-            a[1] = 1.0
-            return a, order
-    raise UnsupportedSymmetry(
-        "no circulant reduction: need a cycle or a circulant labeling"
-    )
-
-
-def _sigma_circulant(G: Graph, tol=None) -> SigmaResult:
-    a, order = _circulant_structure(G)
-    n = G.n
-    m = n // 2
-    nv = m + 2  # [t, p_0 .. p_m]
-    cost = np.zeros(nv)
-    cost[0] = -1.0
-    A_ub = []
-    b_ub = []
-    row = np.zeros(nv)
-    row[1] = 1.0  # diagonal of E: p_0 <= 1
-    A_ub.append(row)
-    b_ub.append(1.0)
-    for k in range(1, m + 1):
-        row = np.zeros(nv)
-        row[0] = a[k]
-        row[1 + k] = 1.0  # class k of E: p_k + t a_k <= 1
-        A_ub.append(row)
-        b_ub.append(1.0)
-    for j in range(m + 1):  # circulant eigenvalues of P must be >= 0
-        row = np.zeros(nv)
-        row[1] = -1.0
-        for k in range(1, m + 1):
-            weight = 1.0 if 2 * k == n else 2.0
-            row[1 + k] = -weight * math.cos(2.0 * math.pi * j * k / n)
-        A_ub.append(row)
-        b_ub.append(0.0)
-    res = solve_lp(
-        cost,
-        A_ub=np.array(A_ub),
-        b_ub=np.array(b_ub),
-        bounds=[(None, None)] * nv,
-    )
-    if res.status != "optimal":
-        raise ArithmeticError(f"circulant LP failed: {res.status}")
-    t = float(res.x[0])
-    p = np.array(res.x[1:])
-    e = np.zeros(m + 1)
-    e[0] = 1.0 - p[0]
-    for k in range(1, m + 1):
-        e[k] = 1.0 - t * a[k] - p[k]
-    pos = {v: i for i, v in enumerate(order)}
-    P = np.zeros((n, n))
-    E = np.zeros((n, n))
-    for u in range(n):
-        for v in range(n):
-            d = (pos[u] - pos[v]) % n
-            d = min(d, n - d)
-            P[u, v] = p[d]
-            if u != v:
-                E[u, v] = e[d]
-            else:
-                E[u, v] = e[0] if p[0] < 1.0 else 0.0
-    A = np.asarray(G.adjacency)
-    J = np.ones((n, n))
-    cert = {
-        "P": P,
-        "E": E,
-        "t": t,
-        "classes": p,
-        "slack_classes": e,
-        "order": order,
-        "eigs_P": eig_sym(P)[0],
-        "residual": float(np.max(np.abs(J - t * A - P - E))),
-    }
-    return SigmaResult(t, "twirl-circulant-lp", cert)
 
 
 def _sigma_cycle_closed(G: Graph, order: list) -> SigmaResult:
@@ -915,61 +795,7 @@ def _sigma_cycle_closed(G: Graph, order: list) -> SigmaResult:
     E = J - value * A - P
     E[(A != 0) | np.eye(n, dtype=bool)] = 0.0
     X = ((value - 1.0) * np.eye(n) + A / 2.0) / n
-    cert = {
-        "P": P,
-        "E": E,
-        "t": value,
-        "dual_X": X,
-        "order": order,
-        "residual": float(np.max(np.abs(J - value * A - P - E))),
-    }
-    return SigmaResult(value, "cycle-closed-form", cert)
-
-
-def _sigma_srg3(G: Graph, tol=None) -> SigmaResult:
-    if G.srg is None or not G.rank3:
-        raise UnsupportedSymmetry(
-            "rank-3 reduction needs a graph with known strongly regular "
-            "parameters and a rank-3 symmetry group"
-        )
-    p = G.srg
-    n, k = p.n, p.k
-    r, s = p.r_eig, p.s_eig
-    # P = I + beta A + gamma (J - I - A); eigenvalue rows keep P psd,
-    # gamma <= 1 keeps E = (1 - gamma)(J - I - A) nonnegative; sigma = 1 - beta.
-    cost = np.array([1.0, 0.0])
-    A_ub = np.array(
-        [
-            [-k, -(n - 1.0 - k)],
-            [-r, r + 1.0],
-            [-s, s + 1.0],
-            [0.0, 1.0],
-        ]
-    )
-    b_ub = np.array([1.0, 1.0, 1.0, 1.0])
-    res = solve_lp(cost, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * 2)
-    if res.status != "optimal":
-        raise ArithmeticError(f"rank-3 LP failed: {res.status}")
-    beta, gamma = (float(v) for v in res.x)
-    value = 1.0 - beta
-    A = np.asarray(G.adjacency)
-    n_ = G.n
-    I = np.eye(n_)
-    J = np.ones((n_, n_))
-    Abar = J - I - A
-    P = I + beta * A + gamma * Abar
-    E = (1.0 - gamma) * Abar
-    X = (A - s * I) / (n * k)
-    cert = {
-        "P": P,
-        "E": E,
-        "t": value,
-        "beta": beta,
-        "gamma": gamma,
-        "dual_X": X,
-        "residual": float(np.max(np.abs(J - value * A - P - E))),
-    }
-    return SigmaResult(value, "twirl-srg3-lp", cert)
+    return _sigma_result(G, value, "cycle-closed-form", P, E, X, order=order)
 
 
 def _sigma_srg_closed(G: Graph) -> SigmaResult:
@@ -986,16 +812,9 @@ def _sigma_srg_closed(G: Graph) -> SigmaResult:
     P = (1.0 - e) * J + e * I + (e - value) * A
     E = e * (J - I - A)
     X = (A - s * I) / (n * k)
-    cert = {
-        "P": P,
-        "E": E,
-        "t": value,
-        "slack_coefficient": e,
-        "dual_X": X,
-        "exact": exact if isinstance(exact, Fraction) else None,
-        "residual": float(np.max(np.abs(J - value * A - P - E))),
-    }
-    return SigmaResult(value, "srg-closed-form", cert)
+    return _sigma_result(G, value, "srg-closed-form", P, E, X,
+                         slack_coefficient=e,
+                         exact=exact if isinstance(exact, Fraction) else None)
 
 
 def srg_sigma(params: SrgParams):

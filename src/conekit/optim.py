@@ -37,13 +37,14 @@ floor rather than at eps: the wheel certificates of acceptance criterion
 half first and rejects a round that fails there without building or
 solving the dual half.
 
-LPs are delegated to scipy's HiGHS interface.
+LPs are delegated to scipy's HiGHS interface; `solve_lp` is public API,
+and no conekit route calls it.
 
 scipy is imported where it is called (LAPACK's `potrs` at the top of
 `solve_sdp`, `linprog` in `solve_lp`), never at module level: importing
-`scipy.linalg` and `scipy.optimize` costs about 0.7 s in a fresh process,
-which a caller that never reaches an SDP or an LP (the closed-form `sigma`
-routes, the CLI's catalogue commands) should not pay.  The Schur solve
+`scipy.linalg` costs about 0.3 s in a fresh process, which a caller
+that never reaches an SDP (the closed-form `sigma` routes and the CLI's
+catalogue commands, for example) should not pay.  The Schur solve
 stays LAPACK's `potrs` through scipy although numpy could replace it:
 numpy has no triangular solve, and applying an explicit inverse of the
 Cholesky factor instead moves `in_kr_dual(berman_matrix(), 1)` by 1.1e-7,

@@ -115,3 +115,24 @@ def test_sigma_core_steps_are_replayed_on_the_graph():
     moved = forge(hub, core={**hub.certificate["core"], "steps": [("hub", 0)],
                              "vertices": [1, 2, 3, 4, 5]})
     assert check(moved, W)["core_steps"] is False
+
+
+def test_sigma_value_is_pinned_by_the_dual_witness():
+    # any t below sigma splits (the excess t A moves into E), so only the
+    # dual X can tell a lowered value from the real one
+    G = graphs.catalog("c7")
+    res = graphs.sigma(G)
+    assert check(res, G)["ok"]
+    cert = res.certificate
+    lowered = dataclasses.replace(res, value=res.value - 0.1, certificate={
+        **cert, "t": cert["t"] - 0.1, "E": cert["E"] + 0.1 * G.adjacency})
+    rep = check(lowered, G)
+    assert rep["split_residual"] and rep["P_psd"] and rep["E_nonneg"]
+    assert rep["X_value"] is False and rep["ok"] is False
+    for v in (res, lowered):
+        without_x = {k: x for k, x in v.certificate.items() if k != "dual_X"}
+        for forged in (dataclasses.replace(v, certificate=without_x),
+                       forge(v, dual_X=None)):
+            rep = check(forged, G)
+            assert rep["dual_X_present"] is False and rep["X_value"] is False
+            assert rep["ok"] is False

@@ -444,6 +444,12 @@ def test_unknown_graph_is_usage_error(capsys):
     assert main(["sigma", "--graph", "never-heard-of-it"]) == 64
 
 
+@pytest.mark.parametrize("strategy", ["twirl", "circulant", "srg3"])
+def test_removed_sigma_strategy_is_usage_error(capsys, strategy):
+    assert main(["sigma", "--graph", "c5", "--strategy", strategy]) == 64
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 64
 

@@ -177,7 +177,7 @@ def test_clique_size_guard():
 
 
 # ---------------------------------------------------------------------------
-# sigma: closed forms, SDP, twirl agreement
+# sigma: closed forms and SDP agreement
 
 def cycle_sigma(n):
     return 2.0 if n % 2 == 0 else 1.0 + math.cos(math.pi / n)
@@ -191,27 +191,19 @@ def test_sigma_cycles(n):
     assert res.value == pytest.approx(cycle_sigma(n), abs=1e-9)
     sdp = gr.sigma(g, strategy="sdp")
     assert sdp.value == pytest.approx(res.value, abs=1e-6)
-    tw = gr.sigma(g, strategy="twirl")
-    assert tw.value == pytest.approx(res.value, abs=1e-9)
 
 
 @pytest.mark.parametrize(
     "n, seed", [(n, None) for n in range(3, 13)] + [(7, 1), (8, 2)]
 )
-def test_cycle_closed_form_is_exact_without_lp(n, seed, monkeypatch):
+def test_cycle_closed_form_is_exact_without_lp(n, seed):
     g = gr.cycle_graph(n)
     if seed is not None:  # a random relabelling
         perm = np.random.default_rng(seed).permutation(n)
         g = gr.Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
-    circulant = gr._sigma_circulant(g)
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("the cycle closed form must not solve an LP")
-
-    monkeypatch.setattr(gr, "solve_lp", no_lp)
     res = gr.sigma(g)
     assert res.provenance == "cycle-closed-form"
-    assert res.value == pytest.approx(circulant.value, abs=1e-9)
+    assert res.value == pytest.approx(cycle_sigma(n), abs=1e-12)
     cert = res.certificate
     A = g.adjacency
     assert np.all(cert["E"][(A != 0) | np.eye(g.n, dtype=bool)] == 0.0)
@@ -252,13 +244,15 @@ def test_sigma_srg_sdp_agrees(name):
     sdp = gr.sigma(g, strategy="sdp")
     assert sdp.value == pytest.approx(expect, abs=1e-6)
     _check_sigma_cert(g, sdp, tol=1e-6)
-    tw = gr.sigma(g, strategy="twirl")
-    assert tw.value == pytest.approx(expect, abs=1e-9)
 
 
-def test_sigma_twirl_needs_symmetry():
-    with pytest.raises(gr.UnsupportedSymmetry):
-        gr.sigma(gr.catalog("shrikhande"), strategy="twirl")
+def test_sigma_circulant_c8_12_is_sqrt2():
+    # C_8(1, 2) is circulant but not a cycle, so no closed form applies
+    g = gr.Graph.from_edges(8, [(i, (i + d) % 8) for i in range(8) for d in (1, 2)])
+    res = gr.sigma(g)
+    assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-6)
+    rep = check(res, g)
+    assert rep["ok"] and rep["X_value"]
 
 
 def test_srg_sigma_complete_graph_formula():
