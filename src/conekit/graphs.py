@@ -10,7 +10,7 @@ positive maps.
 
 Provided here: a small immutable ``Graph`` type with a graph6 codec, exact
 maximum cliques by branch and bound, sigma by exact closed forms (cycles,
-rank-3 strongly regular graphs, and graphs with an omega-colouring), by an
+strongly regular graphs, and graphs with an omega-colouring), by an
 exact reduction to a smaller graph that folds dominated vertices and peels
 universal ones, or by a direct SDP, each with a primal split and a dual
 witness that pins the value, the level-r theta bound, a catalog of named
@@ -554,15 +554,15 @@ class ThetaResult:
 def sigma(G: Graph, strategy: str = "auto", tol=None) -> SigmaResult:
     """Largest t with J - t A_G in the PSD-plus-nonnegative cone.
 
-    Strategies: ``auto`` (closed form for catalog rank-3 strongly regular
-    graphs and detected cycles; then, when a proper colouring with
-    omega(G) colours exists, i.e. chi(G) = omega(G), the exact value
-    omega/(omega - 1); then a core reduction to a smaller graph H, whose
-    sigma comes from this same route and whose certificate is lifted back;
-    otherwise the direct SDP) and ``sdp`` (the direct SDP alone).  The
-    reduction folds a vertex v onto a non-neighbour u with N(v) inside N(u),
-    which leaves sigma unchanged, and peels a universal vertex, with
-    sigma(H v K_1) = 2 - 1/sigma(H).  Every certificate carries the
+    Strategies: ``auto`` (closed form for graphs that carry strongly
+    regular parameters and for detected cycles; then, when a proper
+    colouring with omega(G) colours exists, i.e. chi(G) = omega(G), the
+    exact value omega/(omega - 1); then a core reduction to a smaller graph
+    H, whose sigma comes from this same route and whose certificate is
+    lifted back; otherwise the direct SDP) and ``sdp`` (the direct SDP
+    alone).  The reduction folds a vertex v onto a non-neighbour u with
+    N(v) inside N(u), which leaves sigma unchanged, and peels a universal
+    vertex, with sigma(H v K_1) = 2 - 1/sigma(H).  Every certificate carries the
     splitting J - tA = P + E at the optimum and a dual witness X (PSD,
     entrywise nonnegative, <A,X> = 1, <J,X> = value) that pins the value
     from above; the colouring route adds the ``coloring`` and ``clique``
@@ -593,7 +593,7 @@ def _sigma(G: Graph, strategy: str, tol=None, clique=None) -> SigmaResult:
 
 
 def _sigma_auto(G: Graph, tol=None, clique=None) -> SigmaResult:
-    if G.srg is not None and G.rank3:
+    if G.srg is not None:
         return _sigma_srg_closed(G)
     if (order := _cycle_order(G)) is not None:
         return _sigma_cycle_closed(G, order)
@@ -818,7 +818,11 @@ def _sigma_srg_closed(G: Graph) -> SigmaResult:
 
 
 def srg_sigma(params: SrgParams):
-    """Closed-form sigma for a rank-3 strongly regular graph.
+    """Closed-form sigma for a strongly regular graph.
+
+    The value and its certificate depend on the parameters (n, k, lambda,
+    mu) alone, so they hold for every graph with those parameters, rank 3
+    or not (Shrikhande as well as the 4x4 rook's graph).
 
     Returns an exact Fraction when the eigenvalue r is rational, otherwise a
     float; the value is n(r+1) / (r(n-1) + k), equivalently 1 - s/k.

@@ -18,13 +18,14 @@ rays rather than just failing to converge.
 Blocks are stored by shape.  `SdpProblem.compile` lays the columns out
 group by group: the blocks of one (kind, d) take consecutive columns, so
 each group is a contiguous slice of the global svec vector that reshapes to
-a (g, d, d) stack, and all nn blocks form one group.  The interior-point
-loop works on whole groups (the NT scaling, W X W, the step length and the
-corrector are one stacked numpy call per group, broadcasting over the
-stack), and the Schur rows come from one stack per group holding the
-group's nonzero constraint blocks.  Per-block matrices appear only where
-data enters (`add_eq`, `set_cost`) or leaves (`SdpSolution.blocks` and
-`slacks`, in declaration order, and the polish step).
+a (g, d, d) stack, and all nn blocks form one group, the last.  The
+interior-point loop works on whole groups (the NT scaling, W X W, the
+step length and the corrector are one stacked numpy call per group,
+broadcasting over the stack), and the Schur rows come from one stack per
+group holding the group's nonzero constraint blocks.  Per-block matrices
+appear only where data enters (`add_eq`, `set_cost`) or leaves
+(`SdpSolution.blocks` and `slacks`, in declaration order, and the polish
+step).
 
 The loop ends at the first iterate whose score max(pres, dres, gap)
 exceeds 10x the best score, once the best is under 1e-6: past that
@@ -40,19 +41,14 @@ solving the dual half.
 LPs are delegated to scipy's HiGHS interface; `solve_lp` is public API,
 and no conekit route calls it.
 
-scipy is imported where it is called (LAPACK's `potrs` at the top of
-`solve_sdp`, `linprog` in `solve_lp`), never at module level: importing
-`scipy.linalg` costs about 0.3 s in a fresh process, which a caller
-that never reaches an SDP (the closed-form `sigma` routes and the CLI's
-catalogue commands, for example) should not pay.  The Schur solve
-stays LAPACK's `potrs` through scipy although numpy could replace it:
-numpy has no triangular solve, and applying an explicit inverse of the
-Cholesky factor instead moves `in_kr_dual(berman_matrix(), 1)` by 1.1e-7,
-beyond the 1e-9 its tests assert.  `potrs` is bound once per solve and
-called directly on a Fortran-ordered copy of the factor, made once per
-iteration: this is the routine and arguments `cho_solve` uses, without its
-argument checks and without f2py copying the m x m factor on each of the
-Schur solves of an iteration.
+`solve_sdp` runs on numpy alone, and `solve_lp` (which imports `linprog`
+where it is called) is the only caller of scipy left in the package.  Two
+costs keep scipy out of the SDP path: importing `scipy.linalg` takes about
+0.3 s in a fresh process, and scipy ships its own OpenBLAS build, whose
+thread pool contends with numpy's on a machine with few cores.  numpy has
+no triangular solve, so the Schur solves apply explicit inverses of the
+diagonal blocks of the Cholesky factor, with one refinement step per block
+that keeps the backward error of LAPACK's `potrs` (`_CholeskySolve`).
 """
 
 from __future__ import annotations
@@ -241,8 +237,11 @@ class SdpSolution:
     # "time" holds seconds per phase ("scaling", "schur" build and factor,
     # "newton" solves with refinement, "step", "corrector", "polish"), and
     # "iters", "best_iter" (the iteration of the returned iterate),
-    # "refine_rounds" (total) and "jitter" (largest used) the rest; "stop"
-    # says why the loop ended: "optimal" (eps met), "floor" (the score
+    # "refine_rounds" (total), "schur_solves" (solves with the factored
+    # Schur matrix, each with a vector or a block right-hand side, so that
+    # a change in "newton" time can be told apart from a change in their
+    # number) and "jitter" (largest used) the rest; "stop" says why the
+    # loop ended: "optimal" (eps met), "floor" (the score
     # bounced above 10x its best once the best was under 1e-6),
     # "step_stall" (three centering steps of no length), "lost_interiority"
     # (an iterate left the cone), "schur_failed" (no jitter made the Schur
@@ -364,9 +363,11 @@ class SdpProblem:
 
         Blocks of one shape (all nn blocks counting as one shape) take
         consecutive columns in declaration order, groups in order of first
-        declaration.  Returns (blocks, sl, groups, A, F, b, c, c_f) where
-        sl[i] is the column slice of block i and groups are the _Group
-        stacks, in column order.
+        declaration except the nn group, which goes last: problems that
+        differ only in the order they declare their blocks then compile to
+        the same columns and take the same rounding path.  Returns
+        (blocks, sl, groups, A, F, b, c, c_f) where sl[i] is the column
+        slice of block i and groups are the _Group stacks, in column order.
         """
         m = len(self._rows)
         if m == 0:
@@ -377,6 +378,8 @@ class SdpProblem:
         for i, blk in enumerate(self._blocks):
             key = ("nn", 0) if blk.kind == "nn" else (blk.kind, blk.d)
             members.setdefault(key, []).append(i)
+        if ("nn", 0) in members:
+            members[("nn", 0)] = members.pop(("nn", 0))
         sl = [slice(0)] * len(self._blocks)
         groups = []
         N = 0
@@ -748,12 +751,83 @@ def _polish(blocks, sl, A, F, b, c, c_f, x, y, old_score, bnorm, cnorm):
     return "accepted", best[:7]
 
 
+# the Schur solves cut the Cholesky factor into diagonal blocks of at most
+# _SOLVE_BLOCK rows, and _tril_inv inverts blocks of at most _INV_LEAF rows
+# with LAPACK directly
+_SOLVE_BLOCK = 64
+_INV_LEAF = 32
+
+
+def _tril_inv(T: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular matrix T, by halving: the inverse of
+    [[A, 0], [B, C]] is [[A^-1, 0], [-C^-1 B A^-1, C^-1]].  numpy's inv
+    (LU with pivoting, then substitution against an identity) takes the
+    leaves; above them the work is matmul, which OpenBLAS runs several
+    times faster than that at these orders."""
+    n = len(T)
+    if n <= _INV_LEAF:
+        return np.linalg.inv(T)
+    h = n // 2
+    Ai = _tril_inv(T[:h, :h])
+    Ci = _tril_inv(T[h:, h:])
+    X = np.zeros_like(T)
+    X[:h, :h] = Ai
+    X[h:, h:] = Ci
+    X[h:, :h] = -(Ci @ T[h:, :h]) @ Ai
+    return X
+
+
+class _CholeskySolve:
+    """Solves M x = r for M = L L^T from the lower Cholesky factor L, with
+    numpy alone.
+
+    numpy has no triangular solve.  L is cut into diagonal blocks of at
+    most _SOLVE_BLOCK rows, each gets an explicit inverse Q, and a block
+    forward (then back) substitution applies Q with one refinement step
+    against the block itself: z = Q t; z += Q (t - L_kk z).  An explicit
+    inverse alone has a backward error up to cond(L_kk) times that of a
+    substitution, and the Schur matrices near an optimum reach cond 1e17;
+    the step brings it back to the level of LAPACK's potrs.
+    """
+
+    def __init__(self, L: np.ndarray):
+        m = len(L)
+        p = -(-m // _SOLVE_BLOCK)
+        cuts = [m * j // p for j in range(p + 1)]
+        self.m = m
+        # per block: its rows a:b, the block (contiguous: np.dot copies a
+        # strided matrix on every call) and its inverse, their transposes,
+        # and the panels left of the block (forward) and below it (back)
+        self.blocks = []
+        for a, b in zip(cuts, cuts[1:]):
+            D = np.ascontiguousarray(L[a:b, a:b])
+            Q = _tril_inv(D)
+            self.blocks.append((a, b, D, Q, D.T, Q.T, L[a:b, :a], L[b:, a:b].T))
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """x with L L^T x = r, for a vector or an (m, k) matrix r."""
+        if len(self.blocks) == 1:
+            _, _, D, Q, Dt, Qt, _, _ = self.blocks[0]
+            return _refined(Qt, Dt, _refined(Q, D, r))
+        z = np.empty_like(r)
+        for a, b, D, Q, _, _, left, _ in self.blocks:
+            z[a:b] = _refined(Q, D, r[a:b] - left @ z[:a] if a else r[a:b])
+        x = np.empty_like(r)
+        for a, b, _, _, Dt, Qt, _, below in reversed(self.blocks):
+            x[a:b] = _refined(Qt, Dt, z[a:b] - below @ x[b:]
+                              if b < self.m else z[a:b])
+        return x
+
+
+def _refined(Q, D, t):
+    """Q t with one refinement step, Q an approximate inverse of D."""
+    z = np.dot(Q, t)
+    return z + np.dot(Q, t - np.dot(D, z))
+
+
 def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
               verbose: bool = False) -> SdpSolution:
     """Solve the problem to relative accuracy tol (default 1e-9)."""
-    from scipy.linalg import get_lapack_funcs
-
-    potrs = get_lapack_funcs("potrs", dtype=np.float64)
     eps = _resolve_tol(tol)
     if problem.dimension() > 10_000:
         raise ValueError("problem dimension exceeds the supported limit (10^4)")
@@ -796,6 +870,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
         ("scaling", "schur", "newton", "step", "corrector", "polish"), 0.0
     )
     refine_rounds = 0
+    schur_solves = 0
     max_jitter = 0.0
     mark = 0.0  # set at the start of each timed stretch
 
@@ -895,25 +970,25 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
         Mschur = A @ WAW_rows.T
         Mschur = 0.5 * (Mschur + Mschur.T)
         jitter = 0.0
-        base = np.trace(Mschur) / m if m else 1.0
         for _ in range(8):
             try:
-                # numpy's LAPACK, not scipy's: the two ship separate
-                # OpenBLAS builds whose thread pools contend on few cores
                 Lm = np.linalg.cholesky(
-                    Mschur + (jitter * np.eye(m) if jitter else 0.0)
+                    Mschur + jitter * np.eye(m) if jitter else Mschur
                 )
                 break
             except np.linalg.LinAlgError:
+                base = np.trace(Mschur) / m
                 jitter = max(jitter * 10, 1e-14 * max(base, 1.0))
         else:
             stop = "schur_failed"
             break
         max_jitter = max(max_jitter, jitter)
-        Lf = np.asfortranarray(Lm)
+        chol = _CholeskySolve(Lm)
 
         def msolve(r):
-            return potrs(Lf, r, lower=1)[0]
+            nonlocal schur_solves
+            schur_solves += 1
+            return chol.solve(r)
 
         def wop(vec):
             return np.concatenate(
@@ -922,8 +997,9 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
 
         Wc = wop(c)
         h = A @ Wc
+        hpb, hmb = h + b, h - b
         MiF = msolve(F) if k else np.zeros((m, 0))
-        Mihb = msolve(h + b)
+        Mihb = msolve(hpb)
         cWc = c @ Wc
 
         qq = cWc + kappa / tau
@@ -931,8 +1007,8 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
         if k:
             S2[:k, :k] = F.T @ MiF
             S2[:k, k] = c_f - F.T @ Mihb
-            S2[k, :k] = c_f - (h - b) @ MiF
-        S2[k, k] = (h - b) @ Mihb - qq
+            S2[k, :k] = c_f - hmb @ MiF
+        S2[k, k] = hmb @ Mihb - qq
 
         def solve3(r1, r2, r3):
             """Solve the reduced system for (dy, du, dtau):
@@ -944,7 +1020,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             rhs2 = np.empty(k + 1)
             if k:
                 rhs2[:k] = F.T @ Mir1 - r2
-            rhs2[k] = r3 - (h - b) @ Mir1
+            rhs2[k] = r3 - hmb @ Mir1
             try:
                 sol2 = np.linalg.solve(S2, rhs2)
             except np.linalg.LinAlgError:
@@ -956,9 +1032,9 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
 
         def apply3(dy, du, dtau):
             """Operator-exact evaluation of the reduced system's left side."""
-            r1 = A @ wop(A.T @ dy) + (F @ du if k else 0.0) - (h + b) * dtau
+            r1 = A @ wop(A.T @ dy) + (F @ du if k else 0.0) - hpb * dtau
             r2 = F.T @ dy - c_f * dtau
-            r3 = (h - b) @ dy + (c_f @ du if k else 0.0) - qq * dtau
+            r3 = hmb @ dy + (c_f @ du if k else 0.0) - qq * dtau
             return r1, r2, r3
 
         def newton(rc_vec, sig_mu, theta_tk):
@@ -1129,7 +1205,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
         stats={"polish": polish, "m": m, "N": N,
                "blocks": [[blk.kind, blk.d] for blk in blocks],
                "time": phase_s, "iters": it, "best_iter": best_it, "stop": stop,
-               "refine_rounds": refine_rounds,
+               "refine_rounds": refine_rounds, "schur_solves": schur_solves,
                "jitter": max_jitter},
     )
     return sol

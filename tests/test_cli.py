@@ -472,28 +472,31 @@ def test_bad_tol_or_seed_is_usage_error(capsys, berman_file, argv):
 
 
 # ---------------------------------------------------------------------------
-# import hygiene: scipy is loaded only by the routes that call it
+# import hygiene: no CLI route loads scipy (solve_lp is its only caller,
+# and no route calls solve_lp)
 
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 import conekit, conekit.cli
-if sys.argv[1:]:
+code = 0
+if sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = conekit.cli.main(sys.argv[1:])
-    assert code == 0, code
+        code = conekit.cli.main(sys.argv[2:])
+assert code == int(sys.argv[1]), code
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def scipy_modules_after(*argv):
-    """The scipy modules a fresh interpreter holds after running argv."""
+def scipy_modules_after(*argv, code=0):
+    """The scipy modules a fresh interpreter holds after running argv, which
+    must exit with code."""
     src = str(Path(conekit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *argv],
+        [sys.executable, "-c", _SCIPY_PROBE, str(code), *argv],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return set(json.loads(out.stdout))
@@ -536,8 +539,13 @@ def test_pdec_psd_split_loads_no_scipy(tmp_path):
                                "--A", a, "--B", b) == set()
 
 
-def test_sdp_route_loads_scipy_linalg_only():
-    mods = scipy_modules_after("sigma", "--strategy", "sdp", "--graph",
-                               "shrikhande")
-    assert "scipy.linalg" in mods
-    assert not any(m.startswith("scipy.optimize") for m in mods)
+@pytest.mark.parametrize("argv, code", [
+    (["sigma", "--strategy", "sdp", "--graph", "shrikhande"], 0),
+    (["cone-check", "--cone", "spn", "--in", "{horn}", "--verify"], 1),
+    (["cone-check", "--cone", "cop", "--in", "{horn}", "--verify"], 0),
+    (["dicke-ext", "--P", "{berman}", "--r", "3"], 1),
+])
+def test_sdp_routes_load_no_scipy(argv, code, horn_file, berman_file):
+    # the interior-point solver is numpy alone
+    argv = [a.format(horn=horn_file, berman=berman_file) for a in argv]
+    assert scipy_modules_after(*argv, code=code) == set()

@@ -246,6 +246,18 @@ def test_sigma_srg_sdp_agrees(name):
     _check_sigma_cert(g, sdp, tol=1e-6)
 
 
+def test_sigma_closed_form_covers_shrikhande():
+    # strongly regular but not rank 3: the closed form and its certificate
+    # read the parameters (n, k, lambda, mu) alone
+    g = gr.catalog("shrikhande")
+    res = gr.sigma(g)
+    assert res.provenance == "srg-closed-form"
+    assert res.value == pytest.approx(4 / 3, abs=1e-12)
+    report = check(res, g)
+    assert report["ok"] and report["X_value"]
+    assert gr.sigma(g, strategy="sdp").value == pytest.approx(res.value, abs=1e-6)
+
+
 def test_sigma_circulant_c8_12_is_sqrt2():
     # C_8(1, 2) is circulant but not a cycle, so no closed form applies
     g = gr.Graph.from_edges(8, [(i, (i + d) % 8) for i in range(8) for d in (1, 2)])

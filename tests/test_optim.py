@@ -727,6 +727,47 @@ def test_group_layout_is_order_independent():
     assert [b.shape for b in s2.blocks] == shapes
 
 
+def test_group_layout_compiles_bit_equal():
+    # groups go in order of first declaration with the nn group last, so
+    # both declaration orders give the same columns and the same solve
+    (_, _, g1, A1, _, b1, c1, _) = _pdec_shaped_problem(False)[0].compile()
+    (_, _, g2, A2, _, b2, c2, _) = _pdec_shaped_problem(True)[0].compile()
+    assert [(g.blk.kind, g.blk.d, g.g) for g in g1] == [
+        (g.blk.kind, g.blk.d, g.g) for g in g2] == [
+        ("hpsd", 5, 1), ("hpsd", 2, 10), ("nn", 5, 1)]
+    assert np.array_equal(A1, A2)
+    assert np.array_equal(b1, b2)
+    assert np.array_equal(c1, c2)
+
+
+def _backward_error(M, x, r):
+    """Normwise backward error of each column of x as a solve of M x = r."""
+    x, r = x.reshape(len(M), -1), r.reshape(len(M), -1)
+    return np.linalg.norm(M @ x - r, axis=0) / (
+        np.linalg.norm(M, 2) * np.linalg.norm(x, axis=0))
+
+
+@pytest.mark.parametrize("m", [1, 28, 64, 65, 364])
+def test_cholesky_solve_backward_error_matches_potrs(m):
+    from scipy.linalg import cho_solve
+
+    rng = np.random.default_rng(m)
+    V = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    M = (V * np.geomspace(1.0, 1e-12, m)) @ V.T  # cond 1e12 from m = 2 on
+    M = 0.5 * (M + M.T)
+    L = np.linalg.cholesky(M)
+    solver = optim._CholeskySolve(L)
+    # a vector, a vector that M maps from a random one (large components on
+    # the top of the spectrum), and an (m, 3) block
+    for r in (rng.standard_normal(m), M @ rng.standard_normal(m),
+              rng.standard_normal((m, 3))):
+        x = solver.solve(r)
+        assert x.shape == r.shape
+        ours = _backward_error(M, x, r)
+        lapack = _backward_error(M, cho_solve((L, True), r), r)
+        assert np.all(ours <= 4.0 * np.maximum(lapack, np.finfo(float).eps))
+
+
 @pytest.mark.parametrize("kind, d", [("psd", 4), ("hpsd", 3), ("nn", 6)])
 def test_group_svec_smat_match_per_block(kind, d):
     rng = np.random.default_rng(31)
