@@ -972,9 +972,9 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
         jitter = 0.0
         for _ in range(8):
             try:
-                Lm = np.linalg.cholesky(
+                chol = _CholeskySolve(np.linalg.cholesky(
                     Mschur + jitter * np.eye(m) if jitter else Mschur
-                )
+                ))
                 break
             except np.linalg.LinAlgError:
                 base = np.trace(Mschur) / m
@@ -983,7 +983,6 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             stop = "schur_failed"
             break
         max_jitter = max(max_jitter, jitter)
-        chol = _CholeskySolve(Lm)
 
         def msolve(r):
             nonlocal schur_solves
