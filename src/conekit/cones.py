@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
+from time import perf_counter
 from typing import Optional
 
 import numpy as np
@@ -89,8 +90,9 @@ class ConeVerdict:
 class Effort:
     """Search-budget knobs for the procedures that mix solves and heuristics.
 
-    refute_starts is the number of projected-gradient restarts in
-    cop_refute; it acts only for n > 12, where no exact face scan runs.
+    refute_starts is the number of random projected-gradient starts in
+    cop_refute, where it acts only for n > 12 (no exact face scan runs
+    there), and in quantum.markov_choi_check.
     """
 
     name: str = "default"
@@ -201,6 +203,11 @@ def _spn_program(R, D, tol, maximize: bool = False):
     dual matrix read off -y: for the minimization, X >= 0, X psd,
     <X, D> = 1 and <X, R> = -t* at the optimum; for the maximization,
     <X, D> = -1 and <X, R> = t*.
+
+    An optimal iterate is snapped to its optimal face (_spn_snap): the sigma
+    certificates must be face-exact, as acceptance criterion 4 checks the
+    eigenvalues of P and X on the wheel W6 against closed forms at 1e-6,
+    and the iterate, stopped at its numerical floor, misses X's by 3e-6.
     """
     n = R.shape[0]
     m = n * (n + 1) // 2
@@ -212,11 +219,114 @@ def _spn_program(R, D, tol, maximize: bool = False):
         ev = np.zeros(m)
         ev[idx] = 1.0
         prob.add_eq(R[i, j], (P, B), (E, ev), (t, -D[i, j]))
-    prob.set_cost(t, -1.0 if maximize else 1.0)
+    cost = -1.0 if maximize else 1.0
+    prob.set_cost(t, cost)
     sol = solve_sdp(prob, tol)
-    tstar = -sol.primal_obj if maximize else sol.primal_obj
+    if sol.optimal:
+        start = perf_counter()
+        sol.stats["polish"] = _spn_snap(sol, R, D, cost)
+        sol.stats["time"]["polish"] = perf_counter() - start
     X = _sym_from_upper(-sol.y, n, 0.5)
-    return sol, tstar, sol.block(P), sol.block(E), X
+    return sol, cost * sol.primal_obj, sol.block(P), sol.block(E), X
+
+
+def _kept(w, scale: float):
+    """How many of the ascending eigenvalues w a face keeps (those above
+    1e-4 of the largest, none when the largest is below 1e-9 scale), and
+    the gap between them and the rest relative to the largest."""
+    d = len(w)
+    k = int(np.count_nonzero(w > 1e-4 * w[-1])) if w[-1] > 1e-9 * scale else 0
+    gap = (w[d - k] - w[d - k - 1]) / max(w[-1], 1e-300) if 0 < k < d else 0.0
+    return k, gap
+
+
+def _face_map(U, iu, ju) -> np.ndarray:
+    """The matrix taking the upper triangle of a symmetric M (row by row)
+    to the entries (iu, ju) of U M U^T."""
+    a, b = np.triu_indices(U.shape[1])
+    Ui, Uj = U[iu], U[ju]
+    cols = Ui[:, a] * Uj[:, b]
+    off = a != b
+    cols[:, off] += Ui[:, b[off]] * Uj[:, a[off]]
+    return cols
+
+
+def _psd_face(M) -> bool:
+    """M is psd to -1e-8 relative to its largest eigenvalue."""
+    w = np.linalg.eigvalsh(M) if len(M) else np.zeros(1)
+    return w[0] >= -1e-8 * (1.0 + w[-1])
+
+
+def _spn_snap(sol, R, D, cost: float) -> str:
+    """Snap an optimal iterate of the SPN program to its optimal face.
+
+    U spans the kept range of P and V its complement, from the eigenbasis
+    of P or of the dual X, whichever has the wider relative gap; S is the
+    support of E, where E exceeds its dual slack (X's entry, doubled off the
+    diagonal).  One least-squares solve gives P = U M U^T, E on S and t with
+    P + E - t D = R on the upper triangle, one gives X = V N V^T with X = 0
+    on S and <D, X> = cost (the free column's row).  The snap replaces the
+    iterate in sol only if M, N are psd and E, X nonnegative (to -1e-8
+    relative) and its residuals and gap are no worse than the iterate's (or
+    1e-10).  Returns "accepted" or "rejected".
+    """
+    n = len(R)
+    iu, ju = np.triu_indices(n)
+    w = np.where(iu == ju, 1.0, 2.0)  # y = -w X on the upper triangle
+    r_up, d_up = R[iu, ju], D[iu, ju]
+    P, E, y = sol.blocks[0], sol.blocks[1], sol.y
+    X = _sym_from_upper(-y, n, 0.5)
+    xinf = 1.0 + max(float(np.max(np.abs(P))), float(np.max(np.abs(E))))
+    sinf = 1.0 + float(np.max(np.abs(y)))
+    wP, VP = np.linalg.eigh(P)
+    wX, VX = np.linalg.eigh(X)
+    (r, gap_p), (k, gap_x) = _kept(wP, xinf), _kept(wX, sinf)
+    if k and (r == 0 or gap_x > gap_p):
+        U, V = VX[:, : n - k], VX[:, n - k :]
+    else:
+        U, V = VP[:, n - r :], VP[:, : n - r]
+    S = E > -y
+    res = sol.residuals
+    bound = max(res["primal"], res["dual"], res["gap"], 1e-10)
+
+    # primal: U M U^T + E_S - t D = R
+    face = _face_map(U, iu, ju)
+    z = np.linalg.lstsq(np.column_stack([face, np.eye(len(r_up))[:, S], -d_up]),
+                        r_up, rcond=None)[0]
+    M = _sym_from_upper(z[: face.shape[1]], U.shape[1])
+    E2 = np.zeros_like(E)
+    E2[S] = z[face.shape[1] : -1]
+    t2 = float(z[-1])
+    if not _psd_face(M) or np.any(E2 < -1e-8 * xinf):
+        return "rejected"
+    P2 = symmetrize(U @ M @ U.T)
+    pres = (float(np.linalg.norm(P2[iu, ju] + E2 - t2 * d_up - r_up))
+            / (1.0 + float(np.linalg.norm(r_up))))
+    if pres > bound:
+        return "rejected"
+
+    # dual: X = V N V^T, X = 0 on S, <D, X> = cost
+    face = w[:, None] * _face_map(V, iu, ju)
+    rhs = np.zeros(int(np.count_nonzero(S)) + 1)
+    rhs[-1] = cost
+    zd = np.linalg.lstsq(np.vstack([face[S], d_up @ face]), rhs, rcond=None)[0]
+    N = _sym_from_upper(zd, V.shape[1])
+    X2 = symmetrize(V @ N @ V.T)
+    y2 = -w * X2[iu, ju]
+    slack = np.where(S, 0.0, -y2)
+    if not _psd_face(N) or np.any(slack < -1e-8 * sinf):
+        return "rejected"
+    # cost = +-1, so the dual residual's norm 1 + |c| is 2
+    dres = (float(np.linalg.norm(y2[S])) + abs(float(d_up @ y2) + cost)) / 2.0
+    pobj, dobj = cost * t2, float(r_up @ y2)
+    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    if max(pres, dres, gap) > bound:
+        return "rejected"
+    sol.blocks, sol.slacks = [P2, E2], [X2, slack]
+    sol.free, sol.y = np.array([t2]), y2
+    sol.primal_obj, sol.dual_obj = pobj, dobj
+    res.update(primal=pres, dual=dres, gap=gap)
+    return "accepted"
 
 
 def is_spn(M, tol=None) -> ConeVerdict:

@@ -24,19 +24,15 @@ step length and the corrector are one stacked numpy call per group,
 broadcasting over the stack), and the Schur rows come from one stack per
 group holding the group's nonzero constraint blocks.  Per-block matrices
 appear only where data enters (`add_eq`, `set_cost`) or leaves
-(`SdpSolution.blocks` and `slacks`, in declaration order, and the polish
-step).
+(`SdpSolution.blocks` and `slacks`, in declaration order).
 
 The loop ends at the first iterate whose score max(pres, dres, gap)
 exceeds 10x the best score, once the best is under 1e-6: past that
 bounce the Schur solve is at its numerical floor, and a later iterate
-beats the best one only by rounding.  The best iterate is returned, and
-`SdpSolution.stats["stop"]` records why the loop ended.  Every optimal
-solve then gets a face polish (`_polish`), also one that ended at its
-floor rather than at eps: the wheel certificates of acceptance criterion
-4 need the face-exact eigenvalues it gives.  The polish solves its primal
-half first and rejects a round that fails there without building or
-solving the dual half.
+beats the best one only by rounding.  `solve_sdp` returns the best
+interior-point iterate as it is, and `SdpSolution.stats["stop"]` records
+why the loop ended.  A caller whose certificates must be face-exact
+snaps that iterate to its optimal face itself (`cones._spn_program`).
 
 LPs are delegated to scipy's HiGHS interface; `solve_lp` is public API,
 and no conekit route calls it.
@@ -55,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from enum import Enum
 from time import perf_counter
 from typing import Optional
@@ -232,21 +227,21 @@ class SdpSolution:
     iterations: int
     residuals: dict
     certificate: Optional[dict] = None
-    # how the solve went: "polish" is "not_run", "skipped_size", "rejected"
-    # or "accepted"; "m", "N" and "blocks" ([kind, dim] each) give its size;
-    # "time" holds seconds per phase ("scaling", "schur" build and factor,
-    # "newton" solves with refinement, "step", "corrector", "polish"), and
-    # "iters", "best_iter" (the iteration of the returned iterate),
-    # "refine_rounds" (total), "schur_solves" (solves with the factored
-    # Schur matrix, each with a vector or a block right-hand side, so that
-    # a change in "newton" time can be told apart from a change in their
-    # number) and "jitter" (largest used) the rest; "stop" says why the
-    # loop ended: "optimal" (eps met), "floor" (the score
-    # bounced above 10x its best once the best was under 1e-6),
-    # "step_stall" (three centering steps of no length), "lost_interiority"
-    # (an iterate left the cone), "schur_failed" (no jitter made the Schur
-    # matrix factor), "primal_infeasible" or "dual_infeasible" (a Farkas
-    # ray met eps) or "max_iter"
+    # how the solve went: "polish" is "not_run" (cones._spn_program records
+    # its face snap there, and the snap's seconds as time["polish"]); "m",
+    # "N" and "blocks" ([kind, dim] each) give its size; "time" holds
+    # seconds per phase ("scaling", "schur" build and factor, "newton"
+    # solves with refinement, "step", "corrector"), and "iters", "best_iter"
+    # (the iteration of the returned iterate), "refine_rounds" (total),
+    # "schur_solves" (solves with the factored Schur matrix, each with a
+    # vector or a block right-hand side, so that a change in "newton" time
+    # can be told apart from a change in their number) and "jitter" (largest
+    # used) the rest; "stop" says why the loop ended: "optimal" (eps met),
+    # "floor" (the score bounced above 10x its best once the best was under
+    # 1e-6), "step_stall" (three centering steps of no length),
+    # "lost_interiority" (an iterate left the cone), "schur_failed" (no
+    # jitter made the Schur matrix factor), "primal_infeasible" or
+    # "dual_infeasible" (a Farkas ray met eps) or "max_iter"
     stats: dict = field(default_factory=dict)
 
     def block(self, ref: BlockRef):
@@ -505,252 +500,6 @@ def _resolve_tol(tol) -> float:
     return float(tol)
 
 
-def _face_params(kind: str, r: int) -> int:
-    """Number of real parameters of an r x r face matrix of a block."""
-    return r * r if kind == "hpsd" else r * (r + 1) // 2
-
-
-@lru_cache(maxsize=None)
-def _face_layout(kind: str, r: int):
-    """Parameter layout of an r x r hermitian face matrix M.
-
-    The pairs (a, b), a <= b, run in row-major order, and pair k owns
-    parameter p[k]: M[a, a] on the diagonal, the real part of M[a, b] off
-    it.  In an hpsd block an off-diagonal pair also owns parameter p[k] + 1,
-    the imaginary part of M[a, b].  Returns (a, b, p, off), off marking the
-    off-diagonal pairs, as read-only arrays shared by every caller (one
-    entry per block kind and face rank in use).
-    """
-    a, b = np.triu_indices(r)
-    off = a != b
-    if kind == "hpsd":
-        width = np.where(off, 2, 1)
-        p = np.cumsum(width) - width
-    else:
-        p = np.arange(len(a))
-    for arr in (a, b, p, off):
-        arr.flags.writeable = False
-    return a, b, p, off
-
-
-# face columns are built this many stacked matrix entries at a time, which
-# bounds the temporaries when a face of a large Gram block has many pairs
-_FACE_CHUNK = 1 << 16
-
-
-def _face_columns(blk: _Block, U: np.ndarray) -> np.ndarray:
-    """svec columns spanning {U M U^H} for M hermitian: the (size, params)
-    matrix whose column j is svec of U E_j U^H, E_j the basis matrix of
-    parameter j of _face_layout."""
-    r = U.shape[1]
-    a, b, p, off = _face_layout(blk.kind, r)
-    herm = blk.kind == "hpsd"
-    cols = np.zeros((blk.size, _face_params(blk.kind, r)))
-    Ut = U.T
-    step = max(1, _FACE_CHUNK // max(1, U.shape[0] ** 2))
-    for k in range(0, len(a), step):
-        ks = slice(k, k + step)
-        Ub = Ut[b[ks]].conj() if herm else Ut[b[ks]]
-        O = Ut[a[ks]][:, :, None] * Ub[:, None, :]  # outer(U[:, a], U[:, b]^*)
-        E = O + (O.conj() if herm else O).swapaxes(1, 2)
-        dg = ~off[ks]
-        E[dg] = O[dg]
-        cols[:, p[ks]] = blk.svec(E).T
-        ko = off[ks]
-        if herm and ko.any():
-            Oi = 1j * O[ko]
-            cols[:, p[ks][ko] + 1] = blk.svec(Oi + Oi.conj().swapaxes(1, 2)).T
-    return cols
-
-
-def _rebuild_face(blk: _Block, U: np.ndarray, params):
-    """The face point U M U^H and M itself for the parameter vector params
-    of _face_layout."""
-    r = U.shape[1]
-    a, b, p, off = _face_layout(blk.kind, r)
-    herm = blk.kind == "hpsd"
-    M = np.zeros((r, r), dtype=complex if herm else float)
-    M[a, b] += params[p]  # the diagonal and the real upper triangle
-    if r > 1:
-        ao, bo, po = a[off], b[off], p[off]
-        M[bo, ao] += params[po]
-        if herm:
-            v = params[po + 1]
-            M[ao, bo] += 1j * v
-            M[bo, ao] += -1j * v
-    return U @ M @ U.conj().T, M
-
-
-def _relgap(w, rank):
-    d = len(w)
-    if rank <= 0 or rank >= d:
-        return 0.0
-    return (w[d - rank] - w[d - rank - 1]) / max(w[-1], 1e-300)
-
-
-def _rebuild_half(blocks, sl, faces, supports, params, total, scale):
-    """One half of a polish round: the vector (x or s) whose face matrices
-    and nn supports take params in order, or None when a face matrix or an
-    nn entry leaves its cone."""
-    v = np.zeros(total)
-    col = 0
-    for i, W in faces:
-        n = _face_params(blocks[i].kind, W.shape[1])
-        V, M = _rebuild_face(blocks[i], W, params[col : col + n])
-        v[sl[i]] = blocks[i].svec(V)
-        if n:
-            w = np.linalg.eigvalsh(M)
-            if w[0] < -1e-8 * (1.0 + w[-1]):
-                return None
-        col += n
-    for i, idxs in supports:
-        vals = params[col : col + len(idxs)]
-        if len(idxs) and float(np.min(vals)) < -1e-8 * scale:
-            return None
-        v[sl[i].start + idxs] = vals
-        col += len(idxs)
-    return v
-
-
-def _polish(blocks, sl, A, F, b, c, c_f, x, y, old_score, bnorm, cnorm):
-    """Refine an optimal iterate on its detected optimal face.
-
-    Interior-point iterates near a degenerate optimum carry variable errors
-    much larger than their residuals suggest.  This identifies the active
-    eigenspaces (taking the primal range from the dual slack's null space,
-    which is usually the better-conditioned source) and the active supports,
-    then solves the least-squares problem enforcing primal and dual
-    feasibility restricted to that face.  That system is block-diagonal
-    (primal face, nn-support and free columns meet only the m equality
-    rows; y, dual face and dual nn columns only the dual rows), so its two
-    halves are solved separately, primal first: the primal residual, faces
-    and supports depend on the primal half alone, so a round whose primal
-    half fails its cone check or misses the incoming score is rejected
-    before the dual columns are built or solved.  A round is accepted only
-    if its recomputed residuals and cone feasibility beat the incoming
-    iterate.  solve_sdp polishes every optimal solve, also one that ended
-    at its floor or stalled: the wheel certificates of acceptance criterion
-    4 need the face-exact dual eigenvalues that only the polish gives.
-
-    Returns (outcome, result): outcome is "accepted", "rejected" or
-    "skipped_size" (the joint system is too large to solve), and result is
-    (x, s, u, y, pres, dres, gap) when accepted, else None.
-    """
-    m, total = A.shape
-    kf = F.shape[1]
-    rows_n = m + total + kf
-    bound = max(old_score, 1e-10)
-    best = None
-    skipped = False
-    x_cur, y_cur = x, y
-    for _ in range(2):
-        s_imp = c - A.T @ y_cur
-        xinf = 1.0 + float(np.max(np.abs(x_cur))) if total else 1.0
-        sinf = 1.0 + float(np.max(np.abs(s_imp))) if total else 1.0
-        prim, dual = [], []  # (block index, face basis)
-        nn_act, nn_dual = [], []  # (block index, support)
-        ncols_p = kf  # primal half: faces, pnn, u
-        ncols_d = m  # dual half: y, dual faces, dnn
-        for i, blk in enumerate(blocks):
-            xb = x_cur[sl[i]]
-            sb = s_imp[sl[i]]
-            if blk.kind == "nn":
-                act = xb > sb
-                nn_act.append((i, np.where(act)[0]))
-                nn_dual.append((i, np.where(~act)[0]))
-                ncols_p += len(nn_act[-1][1])
-                ncols_d += len(nn_dual[-1][1])
-                continue
-            wX, VX = np.linalg.eigh(blk.smat(xb))
-            wS, VS = np.linalg.eigh(blk.smat(sb))
-            mX = (
-                int(np.count_nonzero(wX > 1e-4 * wX[-1]))
-                if wX[-1] > 1e-9 * xinf
-                else 0
-            )
-            nS = (
-                int(np.count_nonzero(wS > 1e-4 * wS[-1]))
-                if wS[-1] > 1e-9 * sinf
-                else 0
-            )
-            # split the block on the eigenbasis whose spectral gap between
-            # kept and dropped eigenvalues is (relatively) widest; the two
-            # faces are then exact orthogonal complements
-            use_S = False
-            if mX == 0 and nS > 0:
-                use_S = True
-            elif nS > 0:
-                use_S = _relgap(wS, nS) > _relgap(wX, mX)
-            if use_S:
-                U = VS[:, : blk.d - nS]
-                V = VS[:, blk.d - nS :]
-            else:
-                U = VX[:, blk.d - mX :]
-                V = VX[:, : blk.d - mX]
-            prim.append((i, U))
-            dual.append((i, V))
-            ncols_p += _face_params(blk.kind, U.shape[1])
-            ncols_d += _face_params(blk.kind, V.shape[1])
-        if rows_n * (ncols_p + ncols_d) > 4.0e7:
-            skipped = True
-            break
-
-        # primal half: A x(faces, pnn) + F u = b
-        Ap = np.zeros((m, ncols_p))
-        col = 0
-        for i, U in prim:
-            cU = _face_columns(blocks[i], U)
-            Ap[:, col : col + cU.shape[1]] = A[:, sl[i]] @ cU
-            col += cU.shape[1]
-        for i, idxs in nn_act:
-            Ap[:, col : col + len(idxs)] = A[:, sl[i].start + idxs]
-            col += len(idxs)
-        Ap[:, col:] = F
-        zp = np.linalg.lstsq(Ap, b, rcond=None)[0]
-        x2 = _rebuild_half(blocks, sl, prim, nn_act, zp, total, xinf)
-        if x2 is None:
-            break
-        u2 = zp[ncols_p - kf :]
-        pres2 = float(np.linalg.norm(A @ x2 + F @ u2 - b)) / bnorm
-        if pres2 > bound:
-            break
-
-        # dual half: A^T y + s(faces, dnn) = c, F^T y = c_f
-        Ad = np.zeros((total + kf, ncols_d))
-        Ad[:total, :m] = A.T
-        Ad[total:, :m] = F.T
-        col = m
-        for i, V in dual:
-            cV = _face_columns(blocks[i], V)
-            Ad[sl[i], col : col + cV.shape[1]] = cV
-            col += cV.shape[1]
-        for i, idxs in nn_dual:
-            Ad[sl[i].start + idxs, col + np.arange(len(idxs))] = 1.0
-            col += len(idxs)
-        zd = np.linalg.lstsq(Ad, np.concatenate([c, c_f]), rcond=None)[0]
-        y2 = zd[:m]
-        s2 = _rebuild_half(blocks, sl, dual, nn_dual, zd[m:], total, sinf)
-        if s2 is None:
-            break
-
-        dres2 = (
-            float(np.linalg.norm(A.T @ y2 + s2 - c))
-            + float(np.linalg.norm(F.T @ y2 - c_f))
-        ) / cnorm
-        pobj = float(c @ x2 + c_f @ u2)
-        dobj = float(b @ y2)
-        gap2 = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        score2 = max(pres2, dres2, gap2)
-        if score2 > bound:
-            break
-        if best is None or score2 < best[-1]:
-            best = (x2, s2, u2, y2, pres2, dres2, gap2, score2)
-        x_cur, y_cur = x2, y2
-    if best is None:
-        return ("skipped_size" if skipped else "rejected"), None
-    return "accepted", best[:7]
-
-
 # the Schur solves cut the Cholesky factor into diagonal blocks of at most
 # _SOLVE_BLOCK rows, and _tril_inv inverts blocks of at most _INV_LEAF rows
 # with LAPACK directly
@@ -866,9 +615,8 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
     status = SdpStatus.STALLED
     stop = "max_iter"
     it = 0
-    phase_s = dict.fromkeys(
-        ("scaling", "schur", "newton", "step", "corrector", "polish"), 0.0
-    )
+    phase_s = dict.fromkeys(("scaling", "schur", "newton", "step",
+                             "corrector"), 0.0)
     refine_rounds = 0
     schur_solves = 0
     max_jitter = 0.0
@@ -1136,11 +884,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
     if best_state is not None and (
         status is SdpStatus.STALLED or best_score < max(pres, dres, gap)
     ):
-        x, s, y, u, tau, kappa, pres, dres, gap = (
-            best_state[0], best_state[1], best_state[2], best_state[3],
-            best_state[4], best_state[5], best_state[6], best_state[7],
-            best_state[8],
-        )
+        x, s, y, u, tau, kappa, pres, dres, gap = best_state
     else:
         best_it = it
     certificate = None
@@ -1176,15 +920,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
 
     t = tau if tau > 0 else 1.0
     xs, ss, us, ys = x / t, s / t, u / t, y / t
-    polish = "not_run"
-    if status is SdpStatus.OPTIMAL:
-        mark = perf_counter()
-        polish, pol = _polish(blocks, sl, A, F, b, c, c_f, xs, ys,
-                              max(pres, dres, gap), bnorm, cnorm)
-        lap("polish")
-        if pol is not None:
-            xs, ss, us, ys, pres, dres, gap = pol
-    sol = SdpSolution(
+    return SdpSolution(
         status=status,
         primal_obj=float(c @ xs + c_f @ us),
         dual_obj=float(b @ ys),
@@ -1201,13 +937,12 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             "kappa": float(kappa),
         },
         certificate=certificate,
-        stats={"polish": polish, "m": m, "N": N,
+        stats={"polish": "not_run", "m": m, "N": N,
                "blocks": [[blk.kind, blk.d] for blk in blocks],
                "time": phase_s, "iters": it, "best_iter": best_it, "stop": stop,
                "refine_rounds": refine_rounds, "schur_solves": schur_solves,
                "jitter": max_jitter},
     )
-    return sol
 
 
 def verify_sdp(problem: SdpProblem, sol: SdpSolution,

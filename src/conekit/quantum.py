@@ -227,9 +227,10 @@ def markov_choi_check(A, tol=None, effort="default", seed: int = 0) -> PairVerdi
 
     The pair is a member exactly when g(t) = sum_i t_i / (t_i + (At)_i)
     stays <= 1 on the positive orthant; g is scale invariant, so the
-    simplex suffices.  The maximum is estimated by multistart projected
-    gradient ascent plus all vertices and the uniform point; a value
-    above 1 yields an explicit refuting pair of vectors.  The certificate
+    simplex suffices.  The maximum is estimated by projected gradient
+    ascent from effort.refute_starts random points of the simplex, all
+    vertices and the uniform point; a value above 1 yields an explicit
+    refuting pair of vectors.  The certificate
     also reports the exact closed-form criteria for the stronger cones:
     sum_i 1/(1 + A_ii) <= 1, optionally with A_ij A_ji >= 1 off-diagonal.
     """
@@ -263,7 +264,7 @@ def markov_choi_check(A, tol=None, effort="default", seed: int = 0) -> PairVerdi
     rng = np.random.default_rng(seed)
     best_g, best_t = -np.inf, None
     starts = [np.ones(n) / n]
-    starts += [rng.dirichlet(np.ones(n)) for _ in range(64)]
+    starts += [rng.dirichlet(np.ones(n)) for _ in range(eff.refute_starts)]
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0

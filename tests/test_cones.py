@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conekit import cones
+from conekit import cones, graphs
+from conekit.certificates import check
 from conekit.cones import (
     Effort,
     SizeLimit,
@@ -162,6 +165,66 @@ def test_spn_dual_witness_is_strictly_doubly_nonnegative():
         assert inner(X, M) < 0
         assert v.certificate["pairing"] == inner(X, M)
     assert refuted >= 16
+
+
+# the graphs whose sigma the direct SDP decides in gap_scan over the bundled
+# connected graphs on 5-7 vertices
+_GAP_SCAN_SDP = ["FhEK_", "F{cZG", "FL~Cg", "Ffwhg", "FEl~?", "FJe~O",
+                 "Fb]lg", "FzM]W"]
+
+
+def _spn_cases():
+    c8 = graphs.Graph.from_edges(
+        8, [(i, (i + d) % 8) for i in range(8) for d in (1, 2)])
+    gs = [("wheel6", graphs.catalog("wheel6")),
+          ("petersen", graphs.catalog("petersen")), ("c8-12", c8)]
+    gs += [(g6, graphs.Graph.from_graph6(g6)) for g6 in _GAP_SCAN_SDP]
+    cases = [pytest.param(lambda G=G: (graphs.sigma(G, strategy="sdp"), G),
+                          id=name) for name, G in gs]
+    cases += [pytest.param(lambda M=M: (is_spn(M), M), id=name)
+              for name, M in (("horn", horn_matrix()),
+                              ("identity-plus-ones", np.eye(5) + np.ones((5, 5))))]
+    return cases
+
+
+def _spy_solves(monkeypatch, keep_copy=False):
+    seen = []
+
+    def spy(prob, tol=None):
+        sol = solve_sdp(prob, tol)
+        seen.append((sol, copy.deepcopy(sol) if keep_copy else None))
+        return sol
+
+    monkeypatch.setattr(cones, "solve_sdp", spy)
+    return seen
+
+
+@pytest.mark.parametrize("run", _spn_cases())
+def test_spn_snap_outcome_and_certificate(monkeypatch, request, run):
+    seen = _spy_solves(monkeypatch)
+    res, target = run()
+    assert check(res, target)["ok"]
+    (sol, _), = seen
+    assert sol.stats["polish"] in ("accepted", "rejected")
+    assert sol.stats["time"]["polish"] > 0.0
+    if request.node.callspec.id == "wheel6":
+        # the iterate stops at its floor, and only the snap makes the
+        # wheel's closed-form eigenvalues (acceptance criterion 4)
+        assert sol.stats["stop"] == "floor"
+        assert sol.stats["polish"] == "accepted"
+
+
+def test_spn_snap_rejection_keeps_the_iterate(monkeypatch):
+    seen = _spy_solves(monkeypatch, keep_copy=True)
+    monkeypatch.setattr(cones, "_psd_face", lambda M: False)
+    res = graphs.sigma(graphs.catalog("wheel6"), strategy="sdp")
+    (sol, before), = seen
+    assert sol.stats["polish"] == "rejected"
+    for got, want in zip(sol.blocks + sol.slacks + [sol.y, sol.free],
+                         before.blocks + before.slacks + [before.y, before.free]):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert sol.residuals == before.residuals
+    assert res.value == -before.primal_obj
 
 
 # ---------------------------------------------------------------------------

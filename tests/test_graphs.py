@@ -277,20 +277,11 @@ def test_srg_sigma_complete_graph_formula():
 
 
 def test_sigma_wheel6_certificates():
+    # auto peels the hub and lifts the C5 closed form; sdp snaps the SDP
+    # iterate to its optimal face
     w6 = gr.catalog("wheel6")
     expect = 1 + 1 / PHI
-    res = gr.sigma(w6, strategy="sdp")
-    assert res.value == pytest.approx(expect, abs=1e-6)
-    P, X = res.certificate["P"], res.certificate["dual_X"]
-    wP = np.sort(np.linalg.eigvalsh(P))
-    assert np.max(np.abs(wP - np.array([0, 0, 0, 2, 2, 2.0]))) <= 1e-6
-    ex = np.array([0, 0, 0, (3 * PHI - 5) / 20, (3 * PHI - 5) / 20,
-                   (5 - PHI) / 10])
-    wX = np.sort(np.linalg.eigvalsh(X))
-    assert np.max(np.abs(wX - ex)) <= 1e-6
     A = w6.adjacency
-    assert abs(np.sum(A * X) - 1.0) <= 1e-7
-    assert abs(np.sum(X) - expect) <= 1e-7
     # entries: rim diagonal and hub-rim (sqrt5-1)/20, rim-adjacent (3-sqrt5)/20,
     # hub diagonal (5-sqrt5)/20, rim-nonadjacent zero
     a, b = (3 - PHI) / 20, (PHI - 1) / 20
@@ -301,7 +292,20 @@ def test_sigma_wheel6_certificates():
             M[i, j] = M[j, i] = a if A[i, j] else 0.0
         M[i, 5] = M[5, i] = b
     M[5, 5] = (5 - PHI) / 20
-    assert np.max(np.abs(X - M)) <= 1e-6
+    ex = np.array([0, 0, 0, (3 * PHI - 5) / 20, (3 * PHI - 5) / 20,
+                   (5 - PHI) / 10])
+    for strategy, route in (("auto", "core-reduction"), ("sdp", "sdp")):
+        res = gr.sigma(w6, strategy=strategy)
+        assert res.provenance == route
+        assert res.value == pytest.approx(expect, abs=1e-6)
+        P, X = res.certificate["P"], res.certificate["dual_X"]
+        wP = np.sort(np.linalg.eigvalsh(P))
+        assert np.max(np.abs(wP - np.array([0, 0, 0, 2, 2, 2.0]))) <= 1e-6
+        wX = np.sort(np.linalg.eigvalsh(X))
+        assert np.max(np.abs(wX - ex)) <= 1e-6
+        assert abs(np.sum(A * X) - 1.0) <= 1e-7
+        assert abs(np.sum(X) - expect) <= 1e-7
+        assert np.max(np.abs(X - M)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg import solve_triangular
 
-from conekit import cones, graphs, optim
+from conekit import certificates, cones, optim
 from conekit.linalg import Tolerance
 from conekit.optim import (
     SdpProblem,
@@ -314,198 +314,7 @@ def test_step_length_nn_ratio_test():
     assert sc.max_step(np.ones(3), np.zeros(3)) == np.inf
 
 
-# -- the face polish -------------------------------------------------------
-# The loop helpers and the two-half _polish flow as they were before the
-# polish solved its primal half first; kept as the reference the current
-# code must match bit for bit.
-
-
-def _loop_face_columns(blk, U):
-    d = U.shape[1]
-    cols = []
-    pattern = []
-    for a in range(d):
-        for bb in range(a, d):
-            if a == bb:
-                Mt = np.outer(U[:, a], U[:, a].conj())
-                cols.append(blk.svec(Mt))
-                pattern.append((a, bb, "d"))
-            else:
-                Mt = np.outer(U[:, a], U[:, bb].conj())
-                Mt = Mt + Mt.conj().T
-                cols.append(blk.svec(Mt))
-                pattern.append((a, bb, "re"))
-                if blk.kind == "hpsd":
-                    Mt = 1j * np.outer(U[:, a], U[:, bb].conj())
-                    Mt = Mt + Mt.conj().T
-                    cols.append(blk.svec(Mt))
-                    pattern.append((a, bb, "im"))
-    if cols:
-        return np.stack(cols, axis=1), pattern
-    return np.zeros((blk.size, 0)), pattern
-
-
-def _loop_rebuild_face(blk, U, params, pattern):
-    d = U.shape[1]
-    M = np.zeros((d, d), dtype=complex if blk.kind == "hpsd" else float)
-    for val, (a, bb, kindp) in zip(params, pattern):
-        if kindp == "d":
-            M[a, a] += val
-        elif kindp == "re":
-            M[a, bb] += val
-            M[bb, a] += val
-        else:
-            M[a, bb] += 1j * val
-            M[bb, a] += -1j * val
-    return U @ M @ U.conj().T, M
-
-
-def _split_lstsq(Ap, bp, Ad, bd):
-    return np.concatenate([np.linalg.lstsq(Ap, bp, rcond=None)[0],
-                           np.linalg.lstsq(Ad, bd, rcond=None)[0]])
-
-
-def _joint_lstsq(Ap, bp, Ad, bd):
-    A = block_diag(Ap, Ad)
-    return np.linalg.lstsq(A, np.concatenate([bp, bd]), rcond=None)[0]
-
-
-def _reference_polish(blocks, sl, A, F, b, c, c_f, x, y, old_score, bnorm,
-                      cnorm, lstsq=_split_lstsq, record=None):
-    """Both halves of every round built and solved before any check;
-    record collects each round's parameter vector."""
-    m, total = A.shape
-    kf = F.shape[1]
-    rows_n = m + total + kf
-    best = None
-    skipped = False
-    x_cur, y_cur = x, y
-    for _ in range(2):
-        s_imp = c - A.T @ y_cur
-        xinf = 1.0 + float(np.max(np.abs(x_cur))) if total else 1.0
-        sinf = 1.0 + float(np.max(np.abs(s_imp))) if total else 1.0
-        prim, dual, nn_act, nn_dual = [], [], {}, {}
-        ncols_p, ncols_d = kf, m
-        for i, blk in enumerate(blocks):
-            xb, sb = x_cur[sl[i]], s_imp[sl[i]]
-            if blk.kind == "nn":
-                act = xb > sb
-                nn_act[i], nn_dual[i] = np.where(act)[0], np.where(~act)[0]
-                ncols_p += len(nn_act[i])
-                ncols_d += len(nn_dual[i])
-                continue
-            wX, VX = np.linalg.eigh(blk.smat(xb))
-            wS, VS = np.linalg.eigh(blk.smat(sb))
-            mX = (int(np.count_nonzero(wX > 1e-4 * wX[-1]))
-                  if wX[-1] > 1e-9 * xinf else 0)
-            nS = (int(np.count_nonzero(wS > 1e-4 * wS[-1]))
-                  if wS[-1] > 1e-9 * sinf else 0)
-            use_S = False
-            if mX == 0 and nS > 0:
-                use_S = True
-            elif nS > 0:
-                use_S = optim._relgap(wS, nS) > optim._relgap(wX, mX)
-            if use_S:
-                U, V = VS[:, : blk.d - nS], VS[:, blk.d - nS :]
-            else:
-                U, V = VX[:, blk.d - mX :], VX[:, : blk.d - mX]
-            cU, pU = _loop_face_columns(blk, U)
-            cV, pV = _loop_face_columns(blk, V)
-            prim.append((i, cU, pU, U))
-            dual.append((i, cV, pV, V))
-            ncols_p += cU.shape[1]
-            ncols_d += cV.shape[1]
-        if rows_n * (ncols_p + ncols_d) > 4.0e7:
-            skipped = True
-            break
-        Ap = np.zeros((m, ncols_p))
-        Ad = np.zeros((total + kf, ncols_d))
-        spans = {}
-        col = 0
-        for i, cU, pU, U in prim:
-            Ap[:, col : col + cU.shape[1]] = A[:, sl[i]] @ cU
-            spans[("P", i)] = (col, cU.shape[1])
-            col += cU.shape[1]
-        for i, idxs in nn_act.items():
-            Ap[:, col : col + len(idxs)] = A[:, sl[i].start + idxs]
-            spans[("pnn", i)] = (col, len(idxs))
-            col += len(idxs)
-        Ap[:, col:] = F
-        Ad[:total, :m] = A.T
-        Ad[total:, :m] = F.T
-        col = m
-        for i, cV, pV, V in dual:
-            Ad[sl[i], col : col + cV.shape[1]] = cV
-            spans[("D", i)] = (ncols_p + col, cV.shape[1])
-            col += cV.shape[1]
-        for i, idxs in nn_dual.items():
-            Ad[sl[i].start + idxs, col + np.arange(len(idxs))] = 1.0
-            spans[("dnn", i)] = (ncols_p + col, len(idxs))
-            col += len(idxs)
-        params = lstsq(Ap, b, Ad, np.concatenate([c, c_f]))
-        if record is not None:
-            record.append(params)
-        x2, s2 = np.zeros(total), np.zeros(total)
-        feas_ok = True
-        for tag, faces, vec in (("P", prim, x2), ("D", dual, s2)):
-            for i, _, pat, W in faces:
-                c0, n = spans[(tag, i)]
-                V2, M2 = _loop_rebuild_face(blocks[i], W, params[c0 : c0 + n], pat)
-                vec[sl[i]] = blocks[i].svec(V2)
-                if n:
-                    w = np.linalg.eigvalsh(M2)
-                    if w[0] < -1e-8 * (1.0 + w[-1]):
-                        feas_ok = False
-        for tag, sup, vec, scale in (("pnn", nn_act, x2, xinf),
-                                     ("dnn", nn_dual, s2, sinf)):
-            for i, idxs in sup.items():
-                c0, n = spans[(tag, i)]
-                vals = params[c0 : c0 + n]
-                if n and float(np.min(vals)) < -1e-8 * scale:
-                    feas_ok = False
-                vec[np.asarray(sl[i].start + idxs, dtype=int)] = vals
-        u2 = params[ncols_p - kf : ncols_p]
-        y2 = params[ncols_p : ncols_p + m]
-        pres2 = float(np.linalg.norm(A @ x2 + F @ u2 - b)) / bnorm
-        dres2 = (float(np.linalg.norm(A.T @ y2 + s2 - c))
-                 + float(np.linalg.norm(F.T @ y2 - c_f))) / cnorm
-        pobj = float(c @ x2 + c_f @ u2)
-        dobj = float(b @ y2)
-        gap2 = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        score2 = max(pres2, dres2, gap2)
-        if feas_ok and score2 <= max(old_score, 1e-10):
-            if best is None or score2 < best[-1]:
-                best = (x2, s2, u2, y2, pres2, dres2, gap2, score2)
-            x_cur, y_cur = x2, y2
-        else:
-            break
-    if best is None:
-        return ("skipped_size" if skipped else "rejected"), None
-    return "accepted", best[:7]
-
-
-@pytest.mark.parametrize("chunk", [optim._FACE_CHUNK, 40])
-@pytest.mark.parametrize("kind", ["psd", "hpsd"])
-def test_face_helpers_match_loops(monkeypatch, kind, chunk):
-    # a chunk of 40 entries splits the faces of d >= 3 into several chunks
-    monkeypatch.setattr(optim, "_FACE_CHUNK", chunk)
-    rng = np.random.default_rng(41)
-    for d in range(1, 13):
-        blk = optim._Block(kind, d)
-        _, Q = np.linalg.eigh(_random_herm(rng, d, kind))
-        for r in range(d + 1):
-            # the polish's faces: trailing or leading eigenvector columns
-            for U in (Q[:, d - r :], Q[:, : r]):
-                ref, pattern = _loop_face_columns(blk, U)
-                cols = optim._face_columns(blk, U)
-                assert cols.shape == ref.shape == (blk.size,
-                                                   optim._face_params(kind, r))
-                assert cols.tobytes() == ref.tobytes()
-                params = rng.standard_normal(ref.shape[1])
-                for got, want in zip(optim._rebuild_face(blk, U, params),
-                                     _loop_rebuild_face(blk, U, params, pattern)):
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
+# -- the returned iterate -------------------------------------------------
 
 
 def _kr_member_n12():
@@ -519,63 +328,32 @@ def _kr_member_n12():
 
 
 @pytest.mark.parametrize(
-    "run, outcome",
-    [(lambda: cones.is_kr(cones.horn_matrix(), 1), "rejected"),
-     (lambda: cones.is_kr(np.eye(5) + np.ones((5, 5)), 1), "accepted"),
-     (lambda: graphs.sigma(graphs.catalog("wheel6"), strategy="sdp"), "accepted"),
-     (lambda: cones.is_kr(_kr_member_n12(), 1), "rejected")],
-    ids=["horn", "identity-plus-ones", "wheel6-sigma", "kr-r1-n12-member"],
+    "M", [cones.horn_matrix(), _kr_member_n12()], ids=["horn", "kr-r1-n12-member"]
 )
-def test_split_polish_matches_joint_lstsq(monkeypatch, request, run, outcome):
-    """Each polish equals the reference flow bit for bit; the accepted
-    parameters of I + J also match one joint least-squares solve."""
-    case = request.node.callspec.id
-    lstsq = np.linalg.lstsq
-    calls = []
-
-    def counting(*args, **kw):
-        calls.append(1)
-        return lstsq(*args, **kw)
-
+def test_solver_returns_its_best_iterate(monkeypatch, M):
+    """is_kr's solve returns the interior-point iterate of its best_iter
+    unchanged: a rerun capped at that many iterations ends on the same
+    iterate, bit for bit, and no polish ran."""
     seen = []
-    polish = optim._polish
-
-    def checked(*args):
-        calls.clear()
-        got = polish(*args)
-        n_lstsq = len(calls)
-        split = []
-        want = _reference_polish(*args, record=split)
-        assert got[0] == want[0]
-        assert (got[1] is None) == (want[1] is None)
-        for a, w in zip(got[1] or (), want[1] or ()):
-            assert np.asarray(a).tobytes() == np.asarray(w).tobytes()
-        if case == "identity-plus-ones":
-            joint = []
-            _reference_polish(*args, lstsq=_joint_lstsq, record=joint)
-            assert (np.linalg.norm(split[0] - joint[0])
-                    <= 1e-6 * np.linalg.norm(joint[0]))
-        seen.append((got[0], n_lstsq))
-        return got
-
-    sols = []
 
     def spy(prob, tol=None):
         sol = solve_sdp(prob, tol)
-        sols.append(sol)
+        seen.append((prob, tol, sol))
         return sol
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
-    monkeypatch.setattr(optim, "_polish", checked)
     monkeypatch.setattr(cones, "solve_sdp", spy)
-    monkeypatch.setattr(graphs, "solve_sdp", spy)
-    run()
-    assert len(sols) == len(seen) == 1
-    assert seen[0][0] == sols[0].stats["polish"] == outcome
-    if case == "wheel6-sigma":
-        assert sols[0].stats["stop"] == "floor"  # polished after a stall
-    if case == "kr-r1-n12-member":
-        assert seen[0][1] == 1  # rejected on its primal half alone
+    v = cones.is_kr(M, 1)
+    assert v.status is cones.Verdict.MEMBER
+    assert certificates.check(v, M)["ok"]
+    (prob, tol, sol), = seen
+    assert sol.stats["polish"] == "not_run"
+    assert "polish" not in sol.stats["time"]
+    capped = solve_sdp(prob, tol, max_iter=sol.stats["best_iter"])
+    assert capped.stats["best_iter"] == sol.stats["best_iter"]
+    for got, want in zip(capped.blocks + capped.slacks + [capped.y, capped.free],
+                         sol.blocks + sol.slacks + [sol.y, sol.free]):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert capped.residuals == sol.residuals
 
 
 def test_solution_stats():
@@ -586,14 +364,13 @@ def test_solution_stats():
     sol = solve_sdp(p)
     wall = time.perf_counter() - t0
     assert sol.optimal
-    assert sol.stats["polish"] in ("accepted", "rejected")
+    assert sol.stats["polish"] == "not_run"
     assert sol.stats["m"] == 10 and sol.stats["N"] == 10
     assert sol.stats["blocks"] == [["psd", 4]]
     phases = sol.stats["time"]
-    assert set(phases) == {"scaling", "schur", "newton", "step", "corrector",
-                           "polish"}
+    assert set(phases) == {"scaling", "schur", "newton", "step", "corrector"}
     assert all(t >= 0.0 for t in phases.values())
-    assert phases["newton"] > 0.0 and phases["polish"] > 0.0
+    assert phases["newton"] > 0.0
     assert sum(phases.values()) <= wall
     assert sol.stats["iters"] == sol.iterations
     assert sol.stats["refine_rounds"] >= 0

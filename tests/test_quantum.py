@@ -307,6 +307,26 @@ def test_markov_pdnn_flag():
     assert not v2.certificate["pdnn"]
 
 
+def test_markov_random_starts_follow_effort(monkeypatch):
+    real = np.random.default_rng
+    draws = []
+
+    class Counting:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def dirichlet(self, alpha):
+            draws.append(len(alpha))
+            return self._rng.dirichlet(alpha)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    A = np.full((4, 4), 0.5) + np.eye(4)
+    for effort, starts in (("fast", 16), ("default", 64), ("thorough", 256)):
+        draws.clear()
+        qt.markov_choi_check(A, effort=effort)
+        assert draws == [4] * starts, effort
+
+
 def test_markov_functional_scale_invariance():
     rng = np.random.default_rng(14)
     A = np.abs(rng.normal(size=(5, 5)))
