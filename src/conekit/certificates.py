@@ -256,7 +256,7 @@ def _core_steps_valid(G, core: dict) -> bool:
     """Replay the hub and fold steps of a core-reduction certificate on G,
     each against the vertices still present, and compare what is left with
     ``vertices``."""
-    adj = graphs._adjacency_bits(G)
+    adj = G.adjacency_bits
     alive = (1 << G.n) - 1
     for kind, *ends in core["steps"]:
         ends = [int(x) for x in ends]

@@ -268,7 +268,7 @@ def _run_pair_check(args, ctx: Context):
     A = load_matrix(args.A, ctx, "pair-A", allow_complex=False)
     B = load_matrix(args.B, ctx, "pair-B")
     try:
-        pair = pairwise.pair_form(A, B, ctx.tol)
+        pair = pairwise.pair_form(A, B)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     try:

@@ -491,7 +491,7 @@ def _sos_problem(sd: _SosData, M0, families):
     return prob, grams, singles, theta
 
 
-def _moment_blocks(sd, sol, grams, singles):
+def _moment_blocks(sol, grams, singles):
     """Dual slacks organized as psd moment blocks plus singleton values."""
     out = {
         "blocks": [symmetrize(sol.slack(g)) for g in grams],
@@ -556,10 +556,26 @@ def verify_gram(n, r, M, cert, tol=None) -> bool:
     return True
 
 
+def _sos_limits(n: int, r: int) -> str | None:
+    """Why level r of the hierarchy is out of scope at order n, or None.
+
+    The one size rule of every hierarchy solve: levels 0, 1, 2 (anything
+    else is a ValueError), n <= 16, and n <= 8 at level 2.
+    """
+    if r not in (0, 1, 2):
+        raise ValueError("level r must be 0, 1 or 2")
+    if r == 2 and n > 8:
+        return "level 2 is supported for n <= 8"
+    if n > 16:
+        return "matrices up to n = 16 are supported"
+    return None
+
+
 def is_kr(M, r: int, tol=None) -> ConeVerdict:
     """Decide membership at level r of the sum-of-squares hierarchy.
 
-    Supported levels are 0, 1, 2; level 2 is limited to n <= 8.  Level 0
+    Supported levels are 0, 1, 2 for n <= 16; level 2 is limited to n <= 8
+    (``_sos_limits``), and larger inputs raise SizeLimit.  Level 0
     agrees with is_spn (decided through an independent formulation there).
     Membership produces a Gram certificate; non-membership produces a moment
     functional z with moment matrices psd, z normalized against the identity
@@ -568,12 +584,8 @@ def is_kr(M, r: int, tol=None) -> ConeVerdict:
     tol = as_tolerance(tol)
     A = np.real(check_hermitian(M))
     n = A.shape[0]
-    if r not in (0, 1, 2):
-        raise ValueError("level r must be 0, 1 or 2")
-    if r == 2 and n > 8:
-        raise SizeLimit("level 2 is supported for n <= 8")
-    if n > 16:
-        raise SizeLimit("matrices up to n = 16 are supported")
+    if why := _sos_limits(n, r):
+        raise SizeLimit(why)
     cone = f"K^({r})"
     scale = max(1.0, float(np.max(np.abs(A))))
     sd = _sos_data(n, r)
@@ -595,7 +607,7 @@ def is_kr(M, r: int, tol=None) -> ConeVerdict:
         "moment": z,
         "normalization": float(z @ sd.coeffs(np.eye(n))),
         "pairing": float(z @ sd.coeffs(A)),
-        "moment_blocks": _moment_blocks(sd, sol, grams, singles),
+        "moment_blocks": _moment_blocks(sol, grams, singles),
     }
     return ConeVerdict(Verdict.NON_MEMBER, cone, cert, level=r, value=tstar)
 
@@ -608,15 +620,14 @@ def in_kr_dual(P, r: int, tol=None) -> ConeVerdict:
     the completely positive cone).  A nonnegative optimum certifies
     membership via the decomposition P = y0 (I + J) + L*(z) with y0 >= 0 and
     moment matrices of z psd; a negative optimum returns the minimizing M
-    together with its Gram certificate.
+    together with its Gram certificate.  Levels and sizes follow is_kr's
+    rule (``_sos_limits``), so n > 16 raises SizeLimit.
     """
     tol = as_tolerance(tol)
     A = np.real(check_hermitian(P))
     n = A.shape[0]
-    if r not in (0, 1, 2):
-        raise ValueError("level r must be 0, 1 or 2")
-    if r == 2 and n > 8:
-        raise SizeLimit("level 2 is supported for n <= 8")
+    if why := _sos_limits(n, r):
+        raise SizeLimit(why)
     cone = f"K^({r})*"
     scale = max(1.0, float(np.max(np.abs(A))))
     sd = _sos_data(n, r)
@@ -641,7 +652,7 @@ def in_kr_dual(P, r: int, tol=None) -> ConeVerdict:
             "recon_residual": float(
                 np.max(np.abs(A - (y0 * IJ + sd.adjoint(z))))
             ),
-            "moment_blocks": _moment_blocks(sd, sol, grams, singles),
+            "moment_blocks": _moment_blocks(sol, grams, singles),
         }
         return ConeVerdict(Verdict.MEMBER, cone, cert, level=r, value=vstar)
     Mstar = _sym_from_upper(sol.free, n, 0.5)
@@ -816,8 +827,8 @@ def is_cop(M, tol=None, effort="default", seed: int = 0) -> ConeVerdict:
         )
     notes = []
     for r in range(0, eff.max_level + 1):
-        if r == 2 and n > 8:
-            notes.append("level 2 skipped (n > 8)")
+        if why := _sos_limits(n, r):
+            notes.append(f"level {r} skipped ({why})")
             continue
         sub = is_kr(A, r, tol)
         if sub.status is Verdict.MEMBER:
@@ -992,9 +1003,13 @@ def is_cp(M, tol=None, effort="default", seed: int = 0) -> ConeVerdict:
     if wit is not None:
         return ConeVerdict(Verdict.NON_MEMBER, "CP", wit, value=wit["value"])
     # dual-side separation at low hierarchy levels
+    notes = []
     for r in (1, 2):
-        if r == 2 and (n > 8 or eff.max_level < 2):
+        if r == 2 and eff.max_level < 2:
             break
+        if why := _sos_limits(n, r):
+            notes.append(f"level {r} skipped ({why})")
+            continue
         sub = in_kr_dual(A, r, tol)
         if sub.status is Verdict.NON_MEMBER:
             cert = dict(sub.certificate)
@@ -1006,5 +1021,7 @@ def is_cp(M, tol=None, effort="default", seed: int = 0) -> ConeVerdict:
         Verdict.UNKNOWN,
         "CP",
         {},
-        detail="factorization did not converge and no witness was found",
+        detail="; ".join(
+            ["factorization did not converge and no witness was found", *notes]
+        ),
     )

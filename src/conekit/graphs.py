@@ -8,9 +8,10 @@ graph, and it interacts with the clique number through the universal bounds
 strictly below the clique threshold ("gap graphs") carry indecomposable
 positive maps.
 
-Provided here: a small immutable ``Graph`` type with a graph6 codec, exact
-maximum cliques by branch and bound, sigma by exact closed forms (cycles,
-strongly regular graphs, and graphs with an omega-colouring), by an
+Provided here: a small immutable ``Graph`` type with a graph6 codec and
+strongly regular parameters derived from its adjacency, exact maximum
+cliques by branch and bound, sigma by exact closed forms (cycles, then
+strongly regular graphs, then graphs with an omega-colouring), by an
 exact reduction to a smaller graph that folds dominated vertices and peels
 universal ones, or by a direct SDP, each with a primal split and a dual
 witness that pins the value, the level-r theta bound, a catalog of named
@@ -33,6 +34,7 @@ from .cones import (
     SizeLimit,
     _gram_from_solution,
     _sos_data,
+    _sos_limits,
     _sos_problem,
     _spn_program,
     _sym_from_upper,
@@ -163,8 +165,6 @@ class Graph:
     n: int
     edges: frozenset = field(default_factory=frozenset)
     name: str | None = None
-    srg: SrgParams | None = None
-    rank3: bool = False
 
     def __post_init__(self):
         if self.n < 0:
@@ -179,8 +179,6 @@ class Graph:
                 raise ValueError(f"edge {(u, v)} out of range for n = {self.n}")
             norm.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(norm))
-        if self.srg is not None:
-            _verify_srg(self)
 
     # -- construction -----------------------------------------------------
 
@@ -219,16 +217,48 @@ class Graph:
         A.flags.writeable = False
         return A
 
+    @cached_property
+    def adjacency_bits(self) -> tuple:
+        """Neighbourhoods as integer bitsets: bit v of entry u is set iff uv
+        is an edge."""
+        adj = [0] * self.n
+        for u, v in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
+
+    @cached_property
+    def srg(self) -> SrgParams | None:
+        """Strongly regular parameters (n, k, lambda, mu), or None.
+
+        Derived from the adjacency alone: a k-regular graph that is neither
+        complete nor edgeless is strongly regular exactly when
+        A^2 = kI + lambda A + mu (J - I - A) holds in integers.  The degrees
+        come from the cached bitsets, so a graph that is not regular costs
+        no matrix product.
+        """
+        n = self.n
+        degrees = {b.bit_count() for b in self.adjacency_bits}
+        if len(degrees) != 1:
+            return None
+        (k,) = degrees
+        if not 0 < k < n - 1:
+            return None
+        A = np.asarray(self.adjacency, dtype=np.int64)
+        I = np.eye(n, dtype=np.int64)
+        A2 = A @ A
+        lam = int(A2[A == 1][0])
+        mu = int(A2[(A + I) == 0][0])
+        if not np.array_equal(A2, k * I + lam * A + mu * (1 - I - A)):
+            return None
+        return SrgParams(n, k, lam, mu)
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return np.array([b.bit_count() for b in self.adjacency_bits], dtype=int)
 
     def degree_sequence(self) -> tuple:
         return tuple(sorted(self.degrees().tolist()))
@@ -261,20 +291,8 @@ class Graph:
             for j in range(i + 1, self.n)
             if (i, j) not in self.edges
         }
-        params = None
-        if self.srg is not None:
-            try:
-                params = self.srg.complement()
-            except InconsistentParams:
-                params = None
         nm = f"{self.name}-complement" if self.name else None
-        return Graph(
-            self.n,
-            frozenset(ce),
-            name=nm,
-            srg=params,
-            rank3=self.rank3 if params is not None else False,
-        )
+        return Graph(self.n, frozenset(ce), name=nm)
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         vs = [int(v) for v in vertices]
@@ -304,28 +322,6 @@ class Graph:
     def __repr__(self) -> str:
         tag = f", name={self.name!r}" if self.name else ""
         return f"Graph(n={self.n}, m={self.num_edges}{tag})"
-
-
-def _verify_srg(G: Graph) -> None:
-    """Check A^2 = kI + lambda A + mu (J - I - A) on the concrete graph."""
-    p = G.srg
-    if G.n != p.n:
-        raise InconsistentParams("vertex count does not match parameters")
-    A = np.zeros((G.n, G.n), dtype=np.int64)
-    for u, v in G.edges:
-        A[u, v] = A[v, u] = 1
-    deg = A.sum(axis=1)
-    if np.any(deg != p.k):
-        raise InconsistentParams("graph is not k-regular for the given parameters")
-    n = G.n
-    J = np.ones((n, n), dtype=np.int64)
-    I = np.eye(n, dtype=np.int64)
-    lhs = A @ A
-    rhs = p.k * I + p.lambda_c * A + p.mu * (J - I - A)
-    if np.any(lhs != rhs):
-        raise InconsistentParams(
-            "adjacency identity A^2 = kI + lambda A + mu (J - I - A) fails"
-        )
 
 
 def disjoint_union(G: Graph, H: Graph) -> Graph:
@@ -404,22 +400,13 @@ def lambda_max(G: Graph) -> float:
     return float(w[-1])
 
 
-def _adjacency_bits(G: Graph) -> list:
-    """Neighbourhoods as integer bitsets: bit v of entry u is set iff uv is an edge."""
-    adj = [0] * G.n
-    for u, v in G.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 def max_clique(G: Graph) -> list:
     """A maximum clique (sorted vertex list) by branch and bound with a
     greedy colouring bound."""
     n = G.n
     if n > 64:
         raise SizeLimit("clique search supports n <= 64")
-    adj = _adjacency_bits(G)
+    adj = G.adjacency_bits
     best = 0
     best_set = 0
 
@@ -480,7 +467,7 @@ def _omega_coloring(G: Graph, clique: Sequence[int]) -> list | None:
     first, ties broken by the most uncoloured neighbours.
     """
     k = len(clique)
-    adj = _adjacency_bits(G)
+    adj = G.adjacency_bits
     classes = [1 << v for v in clique]
     nodes = 0
 
@@ -554,8 +541,8 @@ class ThetaResult:
 def sigma(G: Graph, strategy: str = "auto", tol=None) -> SigmaResult:
     """Largest t with J - t A_G in the PSD-plus-nonnegative cone.
 
-    Strategies: ``auto`` (closed form for graphs that carry strongly
-    regular parameters and for detected cycles; then, when a proper
+    Strategies: ``auto`` (closed forms for cycles and then for strongly
+    regular graphs, both read off the adjacency; then, when a proper
     colouring with omega(G) colours exists, i.e. chi(G) = omega(G), the
     exact value omega/(omega - 1); then a core reduction to a smaller graph
     H, whose sigma comes from this same route and whose certificate is
@@ -593,10 +580,10 @@ def _sigma(G: Graph, strategy: str, tol=None, clique=None) -> SigmaResult:
 
 
 def _sigma_auto(G: Graph, tol=None, clique=None) -> SigmaResult:
-    if G.srg is not None:
-        return _sigma_srg_closed(G)
     if (order := _cycle_order(G)) is not None:
         return _sigma_cycle_closed(G, order)
+    if G.srg is not None:
+        return _sigma_srg_closed(G)
     K = max_clique(G) if clique is None else clique
     coloring = _omega_coloring(G, K)
     if coloring is not None:
@@ -611,7 +598,7 @@ def _core_reduction(G: Graph) -> tuple[list, list]:
     """Steps that pass G to a smaller graph with the same sigma, and the
     vertices left, until no step applies; hubs are tried before folds, each
     on the lowest labels first."""
-    adj = _adjacency_bits(G)
+    adj = G.adjacency_bits
     alive = (1 << G.n) - 1
     steps = []
     while True:
@@ -846,15 +833,11 @@ def theta_r(G: Graph, r: int, tol=None) -> ThetaResult:
     to sigma of the complement through
     sigma(G) = theta_0(complement) / (theta_0(complement) - 1).
     """
-    if r not in (0, 1, 2):
-        raise ValueError("level r must be 0, 1 or 2")
     n = G.n
+    if why := _sos_limits(n, r):
+        raise SizeLimit(why)
     if n == 0:
         raise ValueError("theta requires at least one vertex")
-    if r == 2 and n > 8:
-        raise SizeLimit("level 2 is supported for n <= 8")
-    if n > 16:
-        raise SizeLimit("graphs up to n = 16 are supported")
     A = np.asarray(G.adjacency)
     sd = _sos_data(n, r)
     prob, grams, singles, theta = _sos_problem(
@@ -948,10 +931,7 @@ def complete_graph(n: int, name: str | None = None) -> Graph:
     if n < 1:
         raise ValueError("complete graphs need at least one vertex")
     edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    params = SrgParams(n, n - 1, n - 2, n - 1) if n >= 2 else None
-    return Graph(
-        n, frozenset(edges), name=name or f"k{n}", srg=params, rank3=params is not None
-    )
+    return Graph(n, frozenset(edges), name=name or f"k{n}")
 
 
 def _is_prime(q: int) -> bool:
@@ -982,9 +962,7 @@ def paley(q: int) -> Graph:
                 r2, c2 = divmod(b, 3)
                 if r1 == r2 or c1 == c2:
                     edges.add((a, b))
-        return Graph(
-            9, frozenset(edges), name="paley9", srg=SrgParams(9, 4, 1, 2), rank3=True
-        )
+        return Graph(9, frozenset(edges), name="paley9")
     if q < 5 or not _is_prime(q) or q % 4 != 1:
         raise UnsupportedOrder(
             "paley(q) needs a prime q = 1 (mod 4); the only supported "
@@ -992,11 +970,10 @@ def paley(q: int) -> Graph:
         )
     squares = {(x * x) % q for x in range(1, q)}
     edges = {(i, j) for i in range(q) for j in range(i + 1, q) if (j - i) % q in squares}
-    params = SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
-    return Graph(q, frozenset(edges), name=f"paley{q}", srg=params, rank3=True)
+    return Graph(q, frozenset(edges), name=f"paley{q}")
 
 
-def _two_subset_graph(m: int, adjacent_when_disjoint: bool, **kwargs) -> Graph:
+def _two_subset_graph(m: int, adjacent_when_disjoint: bool, name: str) -> Graph:
     verts = list(combinations(range(m), 2))
     edges = set()
     for i in range(len(verts)):
@@ -1004,25 +981,19 @@ def _two_subset_graph(m: int, adjacent_when_disjoint: bool, **kwargs) -> Graph:
             disjoint = not (set(verts[i]) & set(verts[j]))
             if disjoint == adjacent_when_disjoint:
                 edges.add((i, j))
-    return Graph(len(verts), frozenset(edges), **kwargs)
+    return Graph(len(verts), frozenset(edges), name=name)
 
 
 def _petersen() -> Graph:
-    return _two_subset_graph(
-        5, True, name="petersen", srg=SrgParams(10, 3, 0, 1), rank3=True
-    )
+    return _two_subset_graph(5, True, "petersen")
 
 
 def _gq22() -> Graph:
-    return _two_subset_graph(
-        6, True, name="gq22", srg=SrgParams(15, 6, 1, 3), rank3=True
-    )
+    return _two_subset_graph(6, True, "gq22")
 
 
 def _triangular6() -> Graph:
-    return _two_subset_graph(
-        6, False, name="triangular6", srg=SrgParams(15, 8, 4, 4), rank3=True
-    )
+    return _two_subset_graph(6, False, "triangular6")
 
 
 def _clebsch() -> Graph:
@@ -1030,9 +1001,7 @@ def _clebsch() -> Graph:
     edges = {
         (i, j) for i in range(16) for j in range(i + 1, 16) if (i ^ j) in diffs
     }
-    return Graph(
-        16, frozenset(edges), name="clebsch", srg=SrgParams(16, 5, 0, 2), rank3=True
-    )
+    return Graph(16, frozenset(edges), name="clebsch")
 
 
 def _hamming24() -> Graph:
@@ -1043,9 +1012,7 @@ def _hamming24() -> Graph:
             r2, c2 = divmod(b, 4)
             if r1 == r2 or c1 == c2:
                 edges.add((a, b))
-    return Graph(
-        16, frozenset(edges), name="hamming24", srg=SrgParams(16, 6, 2, 2), rank3=True
-    )
+    return Graph(16, frozenset(edges), name="hamming24")
 
 
 def _shrikhande() -> Graph:
@@ -1057,15 +1024,8 @@ def _shrikhande() -> Graph:
             r2, c2 = divmod(b, 4)
             if ((r1 - r2) % 4, (c1 - c2) % 4) in diffs:
                 edges.add((a, b))
-    # same parameters as the 4x4 rook's graph, but the symmetry group has
-    # rank 4, so no rank-3 reduction applies
-    return Graph(
-        16,
-        frozenset(edges),
-        name="shrikhande",
-        srg=SrgParams(16, 6, 2, 2),
-        rank3=False,
-    )
+    # same parameters as the 4x4 rook's graph, but not isomorphic to it
+    return Graph(16, frozenset(edges), name="shrikhande")
 
 
 def _wheel6() -> Graph:

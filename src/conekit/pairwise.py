@@ -97,7 +97,7 @@ class PairVerdict:
         return self.status is Verdict.MEMBER
 
 
-def pair_form(A, B, tol=None) -> MatrixPair:
+def pair_form(A, B) -> MatrixPair:
     """Validate and package a pair; raises DiagonalMismatch when invalid."""
     A = as_square(A)
     if np.iscomplexobj(A):
@@ -260,8 +260,7 @@ def _magnitude_descent(A, G, a, b, iters=40):
     return a, b, cur
 
 
-def _refute_copcp(pair: MatrixPair, tol: Tolerance, eff: Effort, seed: int,
-                  support=None):
+def _refute_copcp(pair: MatrixPair, eff: Effort, seed: int, support=None):
     """Search for vectors making the pairwise form negative.
 
     Magnitudes live on unit spheres (the form is biquadratic), phases enter
@@ -354,8 +353,7 @@ def is_copcp(pair: MatrixPair, tol=None, effort="default",
             )
     tag, info = report["entry_inequality"]
     if tag == "FAIL":
-        val, v, w = _refute_copcp(pair, tol, eff, seed,
-                                  support=list(info["entry"]))
+        val, v, w = _refute_copcp(pair, eff, seed, support=list(info["entry"]))
         if val < -tol.feas_tol * scale:
             return PairVerdict(
                 Verdict.NON_MEMBER, "copcp",
@@ -400,7 +398,7 @@ def is_copcp(pair: MatrixPair, tol=None, effort="default",
                     value=val, detail="lifted copositivity refuted",
                 )
 
-    val, v, w = _refute_copcp(pair, tol, eff, seed)
+    val, v, w = _refute_copcp(pair, eff, seed)
     if val < -tol.feas_tol * scale:
         return PairVerdict(
             Verdict.NON_MEMBER, "copcp",

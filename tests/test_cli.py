@@ -227,6 +227,14 @@ def test_sigma_named_graph(capsys):
     assert rep["result"]["provenance"] == "srg-closed-form"
 
 
+def test_sigma_graph6_copy_takes_the_srg_closed_form(capsys):
+    g6 = graphs.catalog("petersen").to_graph6()
+    code, rep = run(capsys, "sigma", "--graph", f"g6:{g6}", "--verify")
+    assert code == 0
+    assert rep["result"]["provenance"] == "srg-closed-form"
+    assert rep["verify"]["ok"]
+
+
 def test_sigma_case_insensitive_and_strategies_agree(capsys):
     _, by_name = run(capsys, "sigma", "--graph", "PETERSEN")
     _, by_sdp = run(capsys, "sigma", "--graph", "petersen", "--strategy", "sdp")

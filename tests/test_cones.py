@@ -369,6 +369,23 @@ def test_dual_guards():
         in_kr_dual(np.eye(3), 3)
     with pytest.raises(SizeLimit):
         in_kr_dual(np.eye(9), 2)
+    with pytest.raises(SizeLimit):
+        in_kr_dual(np.eye(17) + np.ones((17, 17)), 1)
+
+
+def test_cop_beyond_the_hierarchy_size_skips_its_levels():
+    # Paley(17): n = 17 is past the hierarchy's n <= 16, so is_cop notes the
+    # skipped levels and still returns a verdict
+    A = graphs.paley(17).adjacency
+    J = np.ones((17, 17))
+    refuted = is_cop(J - 1.6 * A)
+    assert refuted.status is Verdict.NON_MEMBER
+    assert check(refuted, J - 1.6 * A)["ok"]
+    open_ = is_cop(J - 1.4 * A, effort="fast")
+    assert open_.status is Verdict.UNKNOWN
+    assert open_.detail == "; ".join(
+        f"level {r} skipped (matrices up to n = 16 are supported)" for r in (0, 1)
+    )
 
 
 def test_dual_pairs_nonnegatively_with_certified_members():

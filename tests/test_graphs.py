@@ -147,12 +147,30 @@ def test_catalog_srg_rows_validate():
         assert np.array_equal(lhs, rhs)
 
 
-def test_shrikhande_is_not_rank3():
+def test_shrikhande_shares_parameters_not_edges_with_the_rook_graph():
     g = gr.catalog("shrikhande")
-    assert g.srg is not None and not g.rank3
     h = gr.catalog("hamming24")
-    assert h.srg == g.srg  # same parameters, different graph
-    assert h.rank3
+    assert g.srg == h.srg == gr.SrgParams(16, 6, 2, 2)
+    assert g.edges != h.edges
+
+
+def test_regular_graphs_that_are_not_strongly_regular():
+    prism = gr.Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                    (3, 5), (0, 3), (1, 4), (2, 5)])
+    cube = gr.Graph.from_edges(
+        8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
+    )
+    for g in (gr.cycle_graph(6), prism, cube):
+        assert len(set(g.degrees())) == 1
+        assert g.srg is None
+    # complete and edgeless graphs are excluded by definition
+    assert gr.complete_graph(5).srg is None
+    assert gr.Graph(4).srg is None
+
+
+def test_srg_parameters_are_not_an_option():
+    with pytest.raises(TypeError):
+        gr.Graph(5, srg=gr.SrgParams(5, 2, 0, 1))
 
 
 CLIQUES = {
@@ -231,7 +249,9 @@ def test_sigma_srg_table():
     for name in gr.SRG_TABLE:
         g = gr.catalog(name)
         res = gr.sigma(g)
-        assert res.provenance == "srg-closed-form", name
+        # the pentagon is C5, which the cycle route takes first
+        want = "cycle-closed-form" if name == "pentagon" else "srg-closed-form"
+        assert res.provenance == want, name
         expect = float(gr.srg_sigma(g.srg))
         assert res.value == pytest.approx(expect, abs=1e-12), name
         _check_sigma_cert(g, res)
@@ -244,6 +264,31 @@ def test_sigma_srg_sdp_agrees(name):
     sdp = gr.sigma(g, strategy="sdp")
     assert sdp.value == pytest.approx(expect, abs=1e-6)
     _check_sigma_cert(g, sdp, tol=1e-6)
+
+
+def _relabelled(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return gr.Graph(g.n, frozenset((perm[u], perm[v]) for u, v in g.edges))
+
+
+@pytest.mark.parametrize("name", gr.SRG_TABLE + ("shrikhande", "k4", "2k3",
+                                                 "k33", "c5"))
+def test_sigma_depends_only_on_the_graph(name):
+    # the catalog object, its graph6 round trip and two relabellings share
+    # one route, one value and a passing certificate
+    if name == "2k3":
+        g = gr.disjoint_union(gr.complete_graph(3), gr.complete_graph(3))
+    elif name == "k33":
+        g = gr.Graph.from_graph6("ElUg")
+    else:
+        g = gr.catalog(name)
+    copies = [g, gr.Graph.from_graph6(g.to_graph6()),
+              _relabelled(g, 1), _relabelled(g, 2)]
+    results = [gr.sigma(h) for h in copies]
+    assert len({r.provenance for r in results}) == 1
+    assert len({r.value for r in results}) == 1
+    for h, r in zip(copies, results):
+        assert check(r, h)["ok"]
 
 
 def test_sigma_closed_form_covers_shrikhande():
@@ -391,8 +436,10 @@ def test_sigma_coloring_certificates_over_lists():
         elif res.provenance == "core-reduction":
             _check_sigma_cert(g, res, tol=1e-12)
             assert check(res, g)["core_steps"]
-    assert routes == {"coloring-closed-form": 948, "cycle-closed-form": 3,
-                      "core-reduction": 27, "sdp": 8}
+    # K3,3 (ElUg) and K2,2,2 (EznW) are strongly regular; C5 (Dhc) is too,
+    # but the cycle route comes first
+    assert routes == {"coloring-closed-form": 946, "cycle-closed-form": 3,
+                      "core-reduction": 27, "sdp": 8, "srg-closed-form": 2}
 
 
 def test_sigma_auto_matches_sdp_on_small_graphs():

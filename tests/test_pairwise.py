@@ -402,6 +402,16 @@ def test_lift_check_refutes_noncopositive_input():
     assert copcp_form_value(pr, v.certificate["v"], v.certificate["w"]) < 0
 
 
+def test_copcp_lift_route_beyond_the_hierarchy_size_returns_a_verdict():
+    # the Paley(17) pair has B off-diagonal nonpositive, so it reaches the
+    # lift route, whose copositivity test can run no hierarchy level at n = 17
+    n = 17
+    p = pair_form(np.ones((n, n)), np.eye(n) - 1.4 * catalog("paley17").adjacency)
+    v = is_copcp(p, effort="fast")
+    assert v.status is Verdict.UNKNOWN
+    assert certificates.check(v, p)["ok"]
+
+
 def test_verify_pair_checks_the_nested_cop_gram():
     H = horn_matrix()
     N = np.diag(np.diag(H)) + ring(np.ones((5, 5)))
