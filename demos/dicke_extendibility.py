@@ -53,9 +53,12 @@ print(f"  value on the SPN-refutation dual X: {Wit.evaluate(X):+.6f}  "
 
 print()
 found, certs = qt.find_extendible_entangled(5, 3)
-print(f"searched the segment towards I + J for a state that stays "
-      f"3-extendible yet entangled (s* = {certs['s']:.5f}):")
+s_W, s_ext = certs["window"]
+print(f"on the segment from I + J to P, the states with s in "
+      f"({s_W:.6f}, {s_ext:.6f}) are 3-extendible yet entangled;")
+print(f"the midpoint s* = {certs['s']:.6f} keeps a margin on both certificates:")
 print(found)
+print(f"  extendibility optimum {certs['extendibility'].value:+.2e}")
 re_ext = cones.in_kr_dual(found, 1)
 re_cop = cones.is_cop(certs["cp_witness"])
 print(f"  extendibility re-verified: {re_ext.status.value}")

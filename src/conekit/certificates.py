@@ -7,7 +7,7 @@ import numpy as np
 
 from . import cones, graphs, pairwise
 from .cones import Verdict
-from .graphs import SigmaResult
+from .graphs import SigmaResult, ThresholdReport
 from .linalg import Tolerance, as_tolerance, inner, min_eig, off_diag, symmetrize
 from .optim import verify_sdp
 from .pairwise import PairVerdict
@@ -18,11 +18,19 @@ __all__ = ["check", "record"]
 def check(verdict, target, tol=None) -> dict:
     """Named checks {"ok": all passed, "<check>": bool, ...} of a ConeVerdict
     against its matrix, a PairVerdict against its MatrixPair (nested cone
-    verdicts against the matrix the pair oracle derived) or a SigmaResult
-    against its Graph."""
+    verdicts against the matrix the pair oracle derived), a SigmaResult
+    against its Graph, or a ThresholdReport against its Graph (the sigma
+    checks plus the threshold order)."""
     tol = as_tolerance(tol)
     if isinstance(verdict, SigmaResult):
         return _verify_sigma_certificate(target, verdict, tol)
+    if isinstance(verdict, ThresholdReport):
+        rep = _verify_sigma_certificate(target, verdict.sigma_result, tol)
+        record(rep, "threshold_order",
+               verdict.t_cp <= verdict.t_ccp + 1e-9
+               and verdict.t_ccp <= verdict.t_dec + 1e-9
+               and verdict.t_dec <= verdict.t_pos + 1e-9)
+        return rep
     if isinstance(verdict, PairVerdict):
         return _verify_pair_verdict(verdict, target, tol)
     return _verify_cone_verdict(verdict, target, tol)
@@ -197,6 +205,15 @@ def _verify_pair_verdict(v, pair, tol: Tolerance) -> dict:
         record(rep, "B2_diag_nonneg", np.min(np.real(np.diag(B2))) >= -bound)
         record(rep, "B2_bounded", np.min(R - np.abs(off_diag(B2))) >= -bound)
         record(rep, "A_nonneg", float(np.min(pair.A)) >= -bound)
+    elif member and route == "markov-ascent":
+        from .quantum import _markov_g  # quantum imports this module
+
+        A = pair.A
+        record(rep, "ascent_value",
+               _markov_g(A, np.asarray(cert["t"], dtype=float)) <= 1.0 + 1e-9)
+        if cert.get("cldui_plus"):
+            record(rep, "diagonal_criterion",
+                   float(np.sum(1.0 / (1.0 + np.diag(A)))) <= 1.0 + 1e-9)
     elif member and route == "atoms":
         atoms = [(lam, *pairwise._atom(x, y)) for x, y, lam in cert["atoms"]]
         # PCP is the cone the atoms generate: only nonnegative weights

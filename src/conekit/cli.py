@@ -330,15 +330,7 @@ def _run_classify_map(args, ctx: Context):
         "provenance": rep.provenance,
         "sigma_certificate": _jsonable(rep.sigma_result.certificate),
     }
-    verify = None
-    if ctx.verify:
-        verify = certificates.check(rep.sigma_result, G, ctx.tol)
-        order_ok = (
-            rep.t_cp <= rep.t_ccp + 1e-9
-            and rep.t_ccp <= rep.t_dec + 1e-9
-            and rep.t_dec <= rep.t_pos + 1e-9
-        )
-        certificates.record(verify, "threshold_order", order_ok)
+    verify = certificates.check(rep, G, ctx.tol) if ctx.verify else None
     return payload, EXIT_MEMBER, verify
 
 
@@ -466,20 +458,10 @@ def _run_markov_choi(args, ctx: Context):
     payload = _verdict_payload(v)
     verify = None
     if ctx.verify:
-        verify = {"ok": True}
-        cert = v.certificate
-        if v.status is Verdict.NON_MEMBER:
-            pair = pairwise.pair_form(
-                A, np.diag(np.diag(A)) - (np.ones_like(A) - np.eye(A.shape[0]))
-            )
-            val = pairwise.copcp_form_value(pair, cert["v"], cert["w"])
-            certificates.record(verify, "refutation_negative", val < 0)
-        else:
-            g = quantum._markov_g(A, np.asarray(cert["t"]))
-            certificates.record(verify, "ascent_value", g <= 1.0 + 1e-9)
-            if cert.get("cldui_plus"):
-                s = float(np.sum(1.0 / (1.0 + np.diag(A))))
-                certificates.record(verify, "diagonal_criterion", s <= 1.0 + 1e-9)
+        pair = pairwise.pair_form(
+            A, np.diag(np.diag(A)) - (np.ones_like(A) - np.eye(A.shape[0]))
+        )
+        verify = certificates.check(v, pair, ctx.tol)
     return payload, _STATUS_CODE[v.status], verify
 
 

@@ -17,7 +17,7 @@ completely-positive membership of P, and level-r bosonic extendibility to
 the dual of the level-(r-2) cone of the copositivity hierarchy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 from typing import Optional
 
@@ -31,7 +31,7 @@ from .linalg import (
     off_diag,
     symmetrize,
 )
-from . import cones
+from . import certificates, cones
 from .cones import ConeVerdict, Effort, Verdict
 from .pairwise import (
     DiagonalMismatch,
@@ -72,7 +72,7 @@ class LevelNotCertified(ValueError):
 
 
 class SearchFailed(RuntimeError):
-    """The extendible-entangled search exhausted its bracket."""
+    """No point of the searched segment carries both certificates."""
 
 
 @dataclass(frozen=True)
@@ -320,6 +320,7 @@ def markov_choi_check(A, tol=None, effort="default", seed: int = 0) -> PairVerdi
             Verdict.NON_MEMBER, "copcp", extras, value=float(val),
             detail="simplex maximum of the positivity functional exceeds 1",
         )
+    extras["route"] = "markov-ascent"
     return PairVerdict(
         Verdict.MEMBER, "copcp", extras, value=float(best_g),
         detail="positivity functional bounded by 1 over vertex, uniform "
@@ -435,73 +436,32 @@ def witness_from_cop(M, N, level: Optional[int] = None, tol=None,
     )
 
 
-_GRID = 1 << 22  # the grid of find_extendible_entangled's weight s
-
-
-def _grid_boundary(P_of, member, v1, tol):
-    """The grid index k with P_of(k / _GRID) a member and P_of((k + 1) /
-    _GRID) not, given that P_of(1) is not; returns (k, verdict at k).
-
-    Starts from the affine prediction of the dual optimum when v1, the
-    optimum at s = 1, is known (see find_extendible_entangled), else from
-    the whole grid.
-    """
-    lo, hi = 0, _GRID  # lo a member (or 0, not yet solved), hi not
-    lo_v = None
-    if v1 is not None:
-        scale = max(1.0, float(np.max(np.abs(P_of(1.0 / (1.0 - v1))))))
-        s_hat = (1.0 + tol.feas_tol * scale) / (1.0 - v1)
-        k = min(max(int(s_hat * _GRID), 1), _GRID - 1)
-        # walk outward from k with doubling steps: up past a member, down
-        # past a non-member, until the next probe leaves the bracket
-        step = 1
-        while lo < k < hi:
-            mv = member(k / _GRID)
-            if mv.status is Verdict.MEMBER:
-                lo, lo_v = k, mv
-                k += step
-            else:
-                hi = k
-                k -= step
-            step *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        mv = member(mid / _GRID)
-        if mv.status is Verdict.MEMBER:
-            lo, lo_v = mid, mv
-        else:
-            hi = mid
-    if lo_v is None:
-        lo_v = member(0.0)
-        if lo_v.status is not Verdict.MEMBER:
-            raise SearchFailed("interior point failed dual-cone membership")
-    return lo, lo_v
-
-
 def find_extendible_entangled(n: int, r: int, tol=None, effort="default",
                               seed: int = 0):
-    """Search for P certified level-r extendible yet entangled.
+    """Find P certified level-r extendible yet entangled, with a margin on
+    both certificates.
 
-    Walks the segment P(s) = (1 - s) C + s P1 from C = I + J to the Berman
-    matrix P1 (padded by an identity block beyond dimension 5) and takes
-    the largest mixing weight keeping dual-cone membership at level r - 2;
-    non-complete-positivity at that point must be certified by an
-    explicitly copositive witness with negative pairing.  Raises
-    SearchFailed when no point satisfies both certificates.
+    The point lies on the segment P(s) = (1 - s) C + s P1 from C = I + J to
+    the Berman matrix P1 (padded by an identity block beyond dimension 5),
+    where both certificates are affine in s:
 
-    The weight lies on the grid s = k / 2^22 (`_GRID`): when P1 is not a
-    member, s = k / 2^22 is certified a member and (k + 1) / 2^22 a
-    non-member, so where membership along the grid is monotone it is the
-    point a 22-step bisection of [0, 1] ends at.  No bisection is needed
-    to find k.  `in_kr_dual` minimizes <P, M> over
-    the section <C, M> = 1, on which <P(s), M> = (1 - s) + s <P1, M>, so
-    its optimum is exactly v*(s) = (1 - s) + s v1 with v1 the optimum at
-    s = 1.  Membership is v*(s) >= -feas_tol * scale, so the boundary is
-    s = (1 + feas_tol * scale) / (1 - v1).  The grid point below it and
-    its successor are solved to certify the pair; when solver rounding
-    puts the boundary on another grid point, the search walks outward
-    with doubling steps and bisects the bracket it finds.  The s = 0 end
-    is solved only if the search reaches it (its optimum is 1).
+    - `in_kr_dual` minimizes <P, M> over level-(r - 2) members M with
+      <C, M> = 1, on which <P(s), M> = (1 - s) + s <P1, M>.  Its optimum is
+      v*(s) = (1 - s) + s v1, v1 the optimum at s = 1, so P(s) is
+      extendible up to s_ext = min(1, 1 / (1 - v1)).
+    - A copositive witness W of P(s_ext), from `is_cp`, pairs negatively
+      with P(s) above its zero s_W = <C, W> / (<C, W> - <P1, W>).  The
+      dual solves' own separators cannot serve as W: each pairs with P(s)
+      at or above v*(s), so never below -feas_tol * scale where P(s) is
+      certified extendible.
+
+    The returned point is the midpoint s* of the window (s_W, s_ext), so
+    each certificate holds with a margin of half the window; it costs two
+    `in_kr_dual` solves, at s = 1 and at s*.  Raises SearchFailed, naming
+    the window, unless the extendibility optimum at s* is positive, the
+    witness pairs below -feas_tol * scale there, and both verdicts pass
+    certificates.check.  certs["cp_verdict"] is `is_cp`'s verdict with its
+    pairing recomputed at P(s*).
     """
     tol = as_tolerance(tol)
     if n < 5:
@@ -512,52 +472,46 @@ def find_extendible_entangled(n: int, r: int, tol=None, effort="default",
         raise UnsupportedLevel("extendibility supported for r in {2, 3, 4}")
     level = int(r) - 2
     C = np.eye(n) + np.ones((n, n))
-    XB = cones.berman_matrix().astype(float)
     P1 = np.eye(n)
-    P1[:5, :5] = XB
+    P1[:5, :5] = cones.berman_matrix()
 
-    def P_of(s: float) -> np.ndarray:
-        return (1.0 - s) * C + s * P1
-
-    def member(s: float):
-        return cones.in_kr_dual(P_of(s), level, tol)
-
-    hi_v = member(1.0)
-    if hi_v.status is Verdict.MEMBER:
-        lo, lo_v = 1.0, hi_v
-    else:
-        v1 = hi_v.value if hi_v.status is Verdict.NON_MEMBER else None
-        k, lo_v = _grid_boundary(P_of, member, v1, tol)
-        lo = k / _GRID
-    P = P_of(lo)
-
-    cp = cones.is_cp(P, tol=tol, effort=effort, seed=seed)
-    W = None
-    source = None
-    if cp.status is Verdict.NON_MEMBER:
-        W = cp.certificate.get("witness", cp.certificate.get("M"))
-        source = cp.certificate.get("kind", "cp-oracle")
-    if W is None or inner(P, W) >= -tol.feas_tol:
-        # fall back to the separator of a point just outside the dual cone
-        s_out = min(1.0, lo + max(1e-3, (1.0 - lo) * 0.5))
-        if s_out > lo:
-            out_v = member(s_out)
-            if out_v.status is Verdict.NON_MEMBER:
-                cand = out_v.certificate["M"]
-                if inner(P, cand) < -tol.feas_tol:
-                    W = cand
-                    source = f"dual-cone separator at s={s_out:.4f}"
-    if W is None or inner(P, W) >= -tol.feas_tol:
+    v1 = cones.in_kr_dual(P1, level, tol).value
+    if v1 is None:
+        raise SearchFailed("the dual solve at the Berman end gave no optimum")
+    s_ext = 1.0 if v1 >= 0 else 1.0 / (1.0 - v1)
+    cp = cones.is_cp((1.0 - s_ext) * C + s_ext * P1, tol=tol, effort=effort,
+                     seed=seed)
+    if cp.status is not Verdict.NON_MEMBER:
         raise SearchFailed(
-            "no copositive witness with negative pairing at the boundary "
-            "point; the segment endpoint may be completely positive"
+            f"is_cp is {cp.status.value} at s_ext = {s_ext:.10f}: no "
+            "copositive witness bounds the window"
+        )
+    key = "witness" if "witness" in cp.certificate else "M"
+    W = cp.certificate[key]
+    cW, pW = inner(C, W), inner(P1, W)
+    s_W = cW / (cW - pW)
+    s = 0.5 * (s_W + s_ext)
+    P = (1.0 - s) * C + s * P1
+    ext = cones.in_kr_dual(P, level, tol)
+    pairing = inner(P, W)
+    cp = replace(cp, value=pairing, certificate={
+        **cp.certificate, "value" if key == "witness" else "pairing": pairing})
+    scale = max(1.0, float(np.max(np.abs(P))))
+    if not (ext.status is Verdict.MEMBER and ext.value > 0
+            and pairing < -tol.feas_tol * scale
+            and certificates.check(ext, P, tol)["ok"]
+            and certificates.check(cp, P, tol)["ok"]):
+        raise SearchFailed(
+            f"no point of the window (s_W, s_ext) = ({s_W:.10f}, "
+            f"{s_ext:.10f}) carries both certificates"
         )
     certs = {
-        "s": float(lo),
-        "extendibility": lo_v,
+        "s": float(s),
+        "window": (float(s_W), float(s_ext)),
+        "extendibility": ext,
         "cp_witness": W,
-        "pairing": float(inner(P, W)),
-        "witness_source": source,
+        "pairing": float(pairing),
+        "witness_source": cp.certificate["kind"],
         "cp_verdict": cp,
     }
     return P, certs

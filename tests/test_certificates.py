@@ -1,10 +1,12 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
-from conekit import cones, graphs
+from conekit import cones, graphs, pairwise, quantum
 from conekit.certificates import check
 from conekit.cones import ConeVerdict, Verdict, berman_matrix, horn_matrix
+from conekit.linalg import off_diag
 from conekit.pairwise import PairVerdict, pair_form
 
 
@@ -136,3 +138,101 @@ def test_sigma_value_is_pinned_by_the_dual_witness():
             rep = check(forged, G)
             assert rep["dual_X_present"] is False and rep["X_value"] is False
             assert rep["ok"] is False
+
+
+# ---------------------------------------------------------------------------
+# every definite verdict of every oracle passes the checker
+
+_H = horn_matrix()
+_IJ = np.eye(5) + np.ones((5, 5))
+_RING_J = np.ones((5, 5)) - np.eye(5)
+_PENTAGON = graphs.catalog("pentagon").adjacency.astype(float)
+
+
+def _pentagon_pair(t):
+    # inside the decomposable window below sigma = 1.809, outside the
+    # pairwise copositive cone above t_pos = 2
+    return pair_form(np.ones((5, 5)), np.eye(5) - t * _PENTAGON)
+
+
+def _markov_pair(A):
+    n = len(A)
+    return pair_form(A, np.diag(np.diag(A)) - (np.ones((n, n)) - np.eye(n)))
+
+
+def _lifted(pair):
+    """(A, N) with pair = (N, A - ring N), the input of the lift checks."""
+    return np.real(pair.B) + off_diag(pair.A), pair.A
+
+
+_LIFT_PAIR = pair_form(np.diag(np.diag(_H)) + _RING_J, _H - _RING_J)
+_FLAT_IN, _FLAT_OUT = 0.82 * np.ones((5, 5)), 0.78 * np.ones((5, 5))
+
+# oracle: (run on an input -> (verdict, what it is checked against),
+#          member input, non-member input)
+_ORACLES = {
+    "is_spn": (lambda M: (cones.is_spn(M), M), _IJ, _H),
+    "is_kr": (lambda M: (cones.is_kr(M, 1), M), _H, -np.eye(5)),
+    "in_kr_dual": (lambda M: (cones.in_kr_dual(M, 1), M), _IJ,
+                   berman_matrix()),
+    "is_cop": (lambda M: (cones.is_cop(M), M), _H, -np.eye(5)),
+    "is_cp": (lambda M: (cones.is_cp(M), M), _IJ, berman_matrix()),
+    "dicke_extendibility": (
+        lambda M: (quantum.dicke_extendibility(M, 3), M), _IJ,
+        berman_matrix()),
+    "is_copcp": (lambda p: (pairwise.is_copcp(p), p), _LIFT_PAIR,
+                 _pentagon_pair(2.2)),
+    "is_pdec": (lambda p: (pairwise.is_pdec(p), p), _pentagon_pair(1.7),
+                _pentagon_pair(2.2)),
+    "pcp_checks": (lambda p: (pairwise.pcp_checks(p), p),
+                   pair_form(_IJ, _IJ), _LIFT_PAIR),
+    "lift_check": (lambda p: (pairwise.lift_check(*_lifted(p)), p),
+                   _LIFT_PAIR, _pentagon_pair(2.2)),
+    "spn_lift_check": (lambda p: (pairwise.spn_lift_check(*_lifted(p)), p),
+                       _pentagon_pair(1.7), _LIFT_PAIR),
+    "markov_choi_check": (
+        lambda A: (quantum.markov_choi_check(A), _markov_pair(A)),
+        _FLAT_IN, _FLAT_OUT),
+}
+
+
+@pytest.mark.parametrize("status", [Verdict.MEMBER, Verdict.NON_MEMBER],
+                         ids=lambda s: s.value)
+@pytest.mark.parametrize("oracle", list(_ORACLES))
+def test_definite_verdicts_pass_the_checker(oracle, status):
+    run, member, non_member = _ORACLES[oracle]
+    v, target = run(member if status is Verdict.MEMBER else non_member)
+    assert v.status is status
+    assert check(v, target)["ok"]
+
+
+@pytest.mark.parametrize("oracle", [graphs.sigma, graphs.classify_map],
+                         ids=["sigma", "classify_map"])
+@pytest.mark.parametrize("name", ["pentagon", "petersen", "wheel6"])
+def test_graph_results_pass_the_checker(oracle, name):
+    G = graphs.catalog(name)
+    assert check(oracle(G), G)["ok"]
+
+
+@pytest.mark.parametrize("A", [0.77 * np.ones((4, 4)), np.diag([4.0] * 4)],
+                         ids=["flat", "diagonal"])
+def test_markov_member_ascent_point_is_recomputed(A):
+    v = quantum.markov_choi_check(A)
+    assert v.certificate["route"] == "markov-ascent"
+    assert pairwise.verify_pair(_markov_pair(A), v)
+    assert check(v, _markov_pair(A)).get("diagonal_criterion", True)
+    # g is recomputed from the pair's A: at 0.5 I the uniform point gives
+    # g = 4 / 1.5 > 1
+    uniform = forge(v, t=np.full(4, 0.25))
+    rep = check(uniform, _markov_pair(0.5 * np.eye(4)))
+    assert rep["ascent_value"] is False and rep["ok"] is False
+
+
+def test_threshold_order_is_checked_with_the_sigma_certificate():
+    G = graphs.catalog("pentagon")
+    rep = graphs.classify_map(G)
+    assert check(rep, G)["threshold_order"]
+    swapped = dataclasses.replace(rep, t_cp=rep.t_pos + 1.0)
+    out = check(swapped, G)
+    assert out["X_value"] and out["threshold_order"] is False
+    assert out["ok"] is False

@@ -1,9 +1,8 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from conekit import cones, quantum as qt
+from conekit.certificates import check
 from conekit.cones import Verdict, berman_matrix, horn_matrix
 from conekit.graphs import catalog
 from conekit.linalg import DimensionMismatch, as_tolerance, inner
@@ -469,8 +468,12 @@ def test_witness_soundness_against_extendible_states():
 
 def test_find_extendible_entangled_level_two_returns_ppt_entangled():
     P, certs = qt.find_extendible_entangled(5, 2)
-    assert np.allclose(P, berman_matrix().astype(float))
-    assert certs["pairing"] < -1e-7
+    # the window is (s_W, 1]: the Berman end itself is PPT, so the midpoint
+    # keeps a margin on both sides
+    s_W, s_ext = certs["window"]
+    assert s_ext == pytest.approx(1.0, abs=1e-7) and s_W < certs["s"] < s_ext
+    assert certs["extendibility"].value > 1e-3
+    assert certs["pairing"] < -1e-3
     assert certs["extendibility"].status is Verdict.MEMBER
 
 
@@ -502,37 +505,7 @@ def test_dual_optimum_is_affine_along_the_segment(level):
         assert abs(vs - ((1.0 - s) + s * v1)) < 1e-6
 
 
-def _bisection_boundary(P_of, member, v1, tol):
-    """The 22-step bisection of [0, 1] that find_extendible_entangled ran
-    before it predicted the boundary; kept as the reference."""
-    lo, hi = 0.0, 1.0
-    lo_v = member(0.0)
-    if lo_v.status is not Verdict.MEMBER:
-        raise qt.SearchFailed("interior point failed dual-cone membership")
-    for _ in range(22):
-        mid = 0.5 * (lo + hi)
-        mv = member(mid)
-        if mv.status is Verdict.MEMBER:
-            lo, lo_v = mid, mv
-        else:
-            hi = mid
-    return int(lo * qt._GRID), lo_v
-
-
-@pytest.mark.parametrize("n,r", [(5, 2), (5, 3), (6, 3)])
-def test_find_extendible_entangled_matches_bisection(monkeypatch, n, r):
-    P, certs = qt.find_extendible_entangled(n, r)
-    with monkeypatch.context() as mp:
-        mp.setattr(qt, "_grid_boundary", _bisection_boundary)
-        P_ref, ref = qt.find_extendible_entangled(n, r)
-    assert certs["s"] == ref["s"]
-    assert np.array_equal(P, P_ref)
-    assert certs["witness_source"] == ref["witness_source"]
-    assert certs["pairing"] == ref["pairing"]
-    assert certs["extendibility"].value == ref["extendibility"].value
-
-
-def test_find_extendible_entangled_solve_count(monkeypatch):
+def _counting_in_kr_dual(monkeypatch):
     calls = []
     real = cones.in_kr_dual
 
@@ -541,48 +514,61 @@ def test_find_extendible_entangled_solve_count(monkeypatch):
         return real(P, r, tol)
 
     monkeypatch.setattr(cones, "in_kr_dual", spy)
+    return calls
+
+
+def test_find_extendible_entangled_solve_count(monkeypatch):
+    calls = _counting_in_kr_dual(monkeypatch)
     qt.find_extendible_entangled(5, 3)
-    assert calls == [1] * len(calls) and len(calls) <= 4  # 24 by bisection
+    assert calls == [1, 1]  # at s = 1 and at the returned point
 
 
-@pytest.mark.parametrize("off", [0, 1, -1, 3, -3, 40, -40, 5000, -5000, None])
-@pytest.mark.parametrize("k_star", [0, 1, 3_000_000, qt._GRID - 1])
-def test_grid_boundary_walks_to_the_last_member(off, k_star):
-    # a membership oracle with its boundary between grid points k* and
-    # k* + 1, and a prediction `off` grid points away from it (None: no
-    # optimum at s = 1 to predict from)
-    tol = as_tolerance(None)
-    s_star = (k_star + 0.5) / qt._GRID
-    solved = []
-
-    def member(s):
-        solved.append(s)
-        ok = s <= s_star
-        return SimpleNamespace(status=Verdict.MEMBER if ok else
-                               Verdict.NON_MEMBER, s=s)
-
-    v1 = None
-    if off is not None:
-        # s_hat = (1 + feas_tol * scale) / (1 - v1), scale 1 on P_of below
-        v1 = 1.0 - (1.0 + tol.feas_tol) / ((k_star + off + 0.5) / qt._GRID)
-    k, v = qt._grid_boundary(lambda s: np.zeros((2, 2)), member, v1, tol)
-    assert k == k_star and v.s == k_star / qt._GRID
-    assert len(set(solved)) == len(solved)
-    if off is None:
-        assert len(solved) <= 23  # bisection, then s = 0 if it is reached
-    else:  # doubling walk, then bisection of its bracket
-        assert len(solved) <= 2 * (abs(off) + 1).bit_length() + 2
-    if off == 0 and 0 < k_star < qt._GRID - 1:
-        assert solved == [k_star / qt._GRID, (k_star + 1) / qt._GRID]
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(5, 9) for r in (2, 3, 4)
+                                 if (n, r) != (5, 4)])
+def test_find_extendible_entangled_margins(monkeypatch, n, r):
+    calls = _counting_in_kr_dual(monkeypatch)
+    P, certs = qt.find_extendible_entangled(n, r)
+    assert calls == [r - 2, r - 2]
+    feas = as_tolerance(None).feas_tol
+    s_W, s_ext = certs["window"]
+    assert s_W < certs["s"] < s_ext
+    ext, cp = certs["extendibility"], certs["cp_verdict"]
+    assert ext.status is Verdict.MEMBER and ext.value >= 10 * feas
+    assert -certs["pairing"] >= 10 * feas
+    assert cp.value == certs["pairing"] == inner(P, certs["cp_witness"])
+    assert check(ext, P)["ok"] and check(cp, P)["ok"]
 
 
-def test_grid_boundary_needs_a_member():
-    def member(s):
-        return SimpleNamespace(status=Verdict.UNKNOWN)
+def test_find_extendible_entangled_five_four_has_no_window():
+    # s_ext there sits on the zero of the scaled 5-cycle witnesses, so
+    # is_cp finds no witness at P(s_ext) and the window is empty
+    with pytest.raises(qt.SearchFailed, match="s_ext"):
+        qt.find_extendible_entangled(5, 4)
 
-    with pytest.raises(qt.SearchFailed):
-        qt._grid_boundary(lambda s: np.zeros((2, 2)), member, -1.0,
-                          as_tolerance(None))
+
+@pytest.mark.parametrize("n,r", [(5, 3), (6, 4)])
+def test_separator_at_the_berman_end_vanishes_at_s_ext(n, r):
+    # every M on in_kr_dual's section pairs with P(s) at or above v*(s), so
+    # the separator at s = 1 cannot certify entanglement where P(s) is
+    # extendible: its zero is s_ext itself
+    P_of = _segment(n)
+    sep = cones.in_kr_dual(P_of(1.0), r - 2)
+    assert sep.status is Verdict.NON_MEMBER
+    M = sep.certificate["M"]
+    cM, pM = inner(P_of(0.0), M), inner(P_of(1.0), M)
+    assert cM == pytest.approx(1.0, abs=10 * as_tolerance(None).feas_tol)
+    _, certs = qt.find_extendible_entangled(n, r)
+    assert cM / (cM - pM) == pytest.approx(certs["window"][1], abs=1e-7)
+
+
+def test_find_extendible_entangled_point_nests_into_lower_levels():
+    # K^(0)* ⊇ K^(1)* ⊇ K^(2)*, and the optimum does not fall going down
+    P, certs = qt.find_extendible_entangled(6, 4)
+    v2 = certs["extendibility"].value
+    for level in (1, 0):
+        v = cones.in_kr_dual(P, level)
+        assert v.status is Verdict.MEMBER and v.value >= v2
+        assert check(v, P)["ok"]
 
 
 def test_find_extendible_entangled_small_dimension_rejected():
