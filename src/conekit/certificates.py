@@ -84,20 +84,16 @@ def _verify_cone_verdict(v, M, tol: Tolerance) -> dict:
                    and np.isclose(cert["pairing"], pairing, rtol=1e-9))
             record(rep, "normalization_positive", norm > 0
                    and np.isclose(cert["normalization"], norm, rtol=1e-9))
-            mb = cert["moment_blocks"]
-            worst = min((min_eig(b) for b in mb["blocks"]), default=0.0)
-            record(rep, "moment_blocks_psd", worst >= -1e3 * tol.eig_tol * scale)
-            singles = np.asarray(mb["singles"], dtype=float)
-            if singles.size:
-                record(rep, "moment_singles_nonneg",
-                       float(np.min(singles)) >= -tol.feas_tol * scale)
+            _check_moments(rep, sd, z, cert["moment_blocks"], scale, tol)
     elif v.cone.endswith("*") and member:
+        # P = y0 (I + J) + L*(z), recomputed from y0 and z
+        sd = cones._sos_data(n, v.level)
+        z = np.asarray(cert["moment"], dtype=float)
         record(rep, "y0_nonneg", cert["y0"] >= -tol.feas_tol * scale)
+        rebuilt = cert["y0"] * (np.eye(n) + 1.0) + sd.adjoint(z)
         record(rep, "reconstruction",
-               cert["recon_residual"] <= 1e3 * tol.feas_tol * scale)
-        mb = cert["moment_blocks"]
-        worst = min((min_eig(b) for b in mb["blocks"]), default=0.0)
-        record(rep, "moment_blocks_psd", worst >= -1e3 * tol.eig_tol * scale)
+               float(np.max(np.abs(M - rebuilt))) <= 1e3 * tol.feas_tol * scale)
+        _check_moments(rep, sd, z, cert["moment_blocks"], scale, tol)
     elif v.cone == "CP" and member:
         if "factor" in cert:
             B = np.asarray(cert["factor"])
@@ -125,6 +121,24 @@ def _verify_cone_verdict(v, M, tol: Tolerance) -> dict:
         prof = cones.classify_elementary(M, tol)
         record(rep, "recheck", member == prof.in_dnn)
     return rep
+
+
+def _check_moments(rep: dict, sd, z, mb: dict, scale: float,
+                   tol: Tolerance) -> None:
+    """The stated moment blocks and singles are z read through the index
+    tables (z[rows] per Gram block, z[singles]), psd and nonnegative."""
+    stated = [np.asarray(b, dtype=float) for b in mb["blocks"]]
+    singles = np.asarray(mb["singles"], dtype=float)
+    pairs = zip(stated + [singles], [z[rows] for rows in sd.rows] + [z[sd.singles]])
+    record(rep, "moment_blocks_match", len(stated) == len(sd.rows) and all(
+        s.shape == w.shape
+        and float(np.max(np.abs(s - w), initial=0.0)) <= 1e3 * tol.eig_tol * scale
+        for s, w in pairs))
+    worst = min((min_eig(b) for b in stated), default=0.0)
+    record(rep, "moment_blocks_psd", worst >= -1e3 * tol.eig_tol * scale)
+    if singles.size:
+        record(rep, "moment_singles_nonneg",
+               float(np.min(singles)) >= -tol.feas_tol * scale)
 
 
 def _cp_witness_copositive(cert: dict, W: np.ndarray, tol: Tolerance) -> bool:

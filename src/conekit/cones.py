@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from time import perf_counter
 from typing import Optional
 
@@ -388,64 +388,53 @@ def is_spn(M, tol=None) -> ConeVerdict:
 # the sum-of-squares hierarchy
 
 
-def _monomials(n: int, d: int):
-    """Exponent tuples of total degree d over n variables, lexicographic."""
-    if n == 1:
-        return [(d,)]
-    out = []
-    for first in range(d, -1, -1):
-        for rest in _monomials(n - 1, d - first):
-            out.append((first,) + rest)
-    return out
-
-
 class _SosData:
-    """Constraint structure for the level-r condition on n variables.
+    """Index tables of the level-r condition on n variables.
 
-    The polynomial lives in degree 2d with d = r + 2; constraints are
-    indexed by monomials gamma of degree d (the even monomial x^{2 gamma}),
-    the Gram basis is the same monomial list, block-diagonalized by parity.
+    The target polynomial (sum_k x_k^2)^r sum_ij M_ij x_i^2 x_j^2 has degree
+    2d, d = r + 2.  Its rows are the m monomials gamma of degree d (the row
+    of gamma holds the coefficient of x^{2 gamma}); the Gram basis is the
+    same list, split into blocks by the parity of the exponents.
+
+    expo     (m, n) exponents, row g being gamma = expo[g], in lexicographic
+             order with the first exponent descending;
+    blocks   per Gram block (a parity class of more than one monomial), its
+             monomials as ascending row indices; blocks in order of their
+             first monomial;
+    rows     per Gram block, the (k, k) integer array whose entry (a, b) is
+             the row that Gram entry feeds, (gamma_a + gamma_b) / 2;
+    singles  the monomials alone in their parity class, ascending; each is
+             a nonnegative scalar that feeds its own row;
+    C        (m, n, n) with coeffs(M)[g] = <C[g], M>: C[g, i, j] =
+             r! g_i (g_j - delta_ij) / prod_k g_k!.
     """
 
     def __init__(self, n: int, r: int):
         self.n, self.r, self.d = n, r, r + 2
-        monos = _monomials(n, self.d)
-        self.monos = monos
-        self.gidx = {g: i for i, g in enumerate(monos)}
-        classes: dict = {}
-        for i, mb in enumerate(monos):
-            par = tuple(v & 1 for v in mb)
-            classes.setdefault(par, []).append(i)
-        self.blocks = [v for v in classes.values() if len(v) > 1]
-        self.singles = [v[0] for v in classes.values() if len(v) == 1]
-        self.single_pos = {m: p for p, m in enumerate(self.singles)}
-        # per block, map constraint row -> list of (a, b) gram positions
-        self.block_rows = []
-        for idxs in self.blocks:
-            dmap: dict = {}
-            for a in range(len(idxs)):
-                for bb in range(a, len(idxs)):
-                    s = tuple(
-                        monos[idxs[a]][t] + monos[idxs[bb]][t] for t in range(n)
-                    )
-                    gi = self.gidx[tuple(v // 2 for v in s)]
-                    dmap.setdefault(gi, []).append((a, bb))
-            self.block_rows.append(dmap)
-        # linear map M -> coefficient vector of the target polynomial
-        rf = float(math.factorial(r))
-        C = np.zeros((len(monos), n, n))
-        for gi, g in enumerate(monos):
-            for i in range(n):
-                if g[i] == 0:
-                    continue
-                for j in range(n):
-                    dd = list(g)
-                    dd[i] -= 1
-                    dd[j] -= 1
-                    if dd[j] < 0:
-                        continue
-                    C[gi, i, j] = rf / math.prod(math.factorial(v) for v in dd)
-        self.C = C
+        d = self.d
+        # sorted variable tuples in lexicographic order give the exponents
+        # in lexicographic order, descending
+        var = np.array(list(combinations_with_replacement(range(n), d)))
+        self.expo = expo = np.sum(var.reshape(-1, d, 1) == np.arange(n), axis=1)
+        # exponents read as base d + 1 digits: linear, descending in row
+        # order, and exact in int64 far beyond _sos_limits (n <= 26 at r = 2)
+        key = expo @ (d + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        parity = (expo & 1) @ (1 << np.arange(n, dtype=np.int64))
+        _, first, cls = np.unique(parity, return_index=True, return_inverse=True)
+        count = np.bincount(cls)
+        self.singles = np.flatnonzero(count[cls] == 1)
+        self.blocks = [
+            np.flatnonzero(cls == c) for c in np.argsort(first) if count[c] > 1
+        ]
+        self.rows = [
+            np.searchsorted(-key, -((key[g][:, None] + key[g][None, :]) // 2))
+            for g in self.blocks
+        ]
+        fact = np.array([math.factorial(k) for k in range(d + 1)])
+        num = math.factorial(r) * expo[:, :, None] * (
+            expo[:, None, :] - np.eye(n, dtype=np.int64)
+        )
+        self.C = num / np.prod(fact[expo], axis=1)[:, None, None]
 
     def coeffs(self, M) -> np.ndarray:
         return np.einsum("gij,ij->g", self.C, np.asarray(M, dtype=float))
@@ -453,6 +442,10 @@ class _SosData:
     def adjoint(self, z) -> np.ndarray:
         """The symmetric matrix L with <L, M> = z . coeffs(M) for all M."""
         return np.einsum("gij,g->ij", self.C, np.asarray(z, dtype=float))
+
+    def monomials(self, idxs) -> list:
+        """The exponent tuples of the rows idxs."""
+        return [tuple(e) for e in self.expo[idxs].tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -463,79 +456,71 @@ def _sos_data(n: int, r: int) -> _SosData:
 def _sos_problem(sd: _SosData, M0, families):
     """Rows: gram coefficients of x^{2 gamma} minus the family part equal
     coeffs(M0); families contribute free multipliers theta_k on coeffs(F_k),
-    i.e.  T(G) - sum_k theta_k coeffs(F_k) = coeffs(M0)."""
+    i.e.  T(G) - sum_k theta_k coeffs(F_k) = coeffs(M0).  A row's term in a
+    Gram block is the 0/1 matrix of the entries that feed it."""
     prob = SdpProblem()
     grams = [prob.add_psd(len(idxs)) for idxs in sd.blocks]
-    singles = prob.add_nn(len(sd.singles)) if sd.singles else None
-    theta = prob.add_free(len(families)) if families else None
+    singles = prob.add_nn(len(sd.singles)) if len(sd.singles) else None
+    theta = prob.add_free(len(families))
+    terms = [[] for _ in sd.expo]
+    for ref, rows in zip(grams, sd.rows):
+        fed, at = np.unique(rows, return_inverse=True)
+        E = np.zeros((len(fed), ref.dim, ref.dim))
+        E[(at.reshape(rows.shape), *np.indices(rows.shape))] = 1.0
+        for g, Eg in zip(fed.tolist(), E):
+            terms[g].append((ref, Eg))
+    if singles is not None:
+        for g, ev in zip(sd.singles.tolist(), np.eye(singles.dim)):
+            terms[g].append((singles, ev))
     c0 = sd.coeffs(M0)
-    cf = [sd.coeffs(F) for F in families]
-    nrow = len(sd.monos)
-    for gi in range(nrow):
-        terms = []
-        for bi, idxs in enumerate(sd.blocks):
-            pairs = sd.block_rows[bi].get(gi)
-            if pairs:
-                E = np.zeros((len(idxs), len(idxs)))
-                for a, bb in pairs:
-                    E[a, bb] = 1.0
-                    E[bb, a] = 1.0
-                terms.append((grams[bi], E))
-        if singles is not None and gi in sd.single_pos:
-            ev = np.zeros(len(sd.singles))
-            ev[sd.single_pos[gi]] = 1.0
-            terms.append((singles, ev))
-        if theta is not None:
-            terms.append((theta, [-cf[k][gi] for k in range(len(families))]))
-        prob.add_eq(c0[gi], *terms)
+    cf = -np.array([sd.coeffs(F) for F in families]).T
+    for g, row in enumerate(terms):
+        prob.add_eq(c0[g], *row, (theta, cf[g]))
     return prob, grams, singles, theta
 
 
 def _moment_blocks(sol, grams, singles):
     """Dual slacks organized as psd moment blocks plus singleton values."""
-    out = {
+    return {
         "blocks": [symmetrize(sol.slack(g)) for g in grams],
         "singles": np.asarray(sol.slack(singles), dtype=float)
         if singles is not None
         else np.array([]),
     }
-    return out
 
 
-def _gram_from_solution(sd, sol, grams, singles, shift=0.0):
-    """Package the Gram certificate, optionally adding shift * diag(coeffs(I))."""
-    dvec = sd.coeffs(np.eye(sd.n)) if shift else None
+def _gram_from_solution(sd, sol, grams, singles, D=None, shift=0.0):
+    """Package the Gram certificate, optionally adding shift * coeffs(D) on
+    the diagonal (the row a diagonal entry feeds is its own monomial's)."""
+    dvec = sd.coeffs(D) if shift else None
     blocks = []
-    for bi, idxs in enumerate(sd.blocks):
-        G = symmetrize(sol.block(grams[bi]))
+    for ref, idxs in zip(grams, sd.blocks):
+        G = symmetrize(sol.block(ref))
         if shift:
-            G = G + shift * np.diag([dvec[m] for m in idxs])
-        blocks.append({"monomials": [sd.monos[m] for m in idxs], "G": G})
+            G = G + shift * np.diag(dvec[idxs])
+        blocks.append({"monomials": sd.monomials(idxs), "G": G})
     svals = np.array([])
     if singles is not None:
         svals = np.maximum(np.asarray(sol.block(singles), dtype=float), 0.0)
         if shift:
-            svals = svals + shift * np.array([dvec[m] for m in sd.singles])
+            svals = svals + shift * dvec[sd.singles]
     return {
         "blocks": blocks,
-        "single_monomials": [sd.monos[m] for m in sd.singles],
+        "single_monomials": sd.monomials(sd.singles),
         "singles": svals,
     }
 
 
 def gram_coefficient_vector(sd: _SosData, cert: dict) -> np.ndarray:
-    """Polynomial coefficients represented by a Gram certificate."""
-    out = np.zeros(len(sd.monos))
-    for bi, blk in enumerate(cert["blocks"]):
-        G = blk["G"]
-        for gi, pairs in sd.block_rows[bi].items():
-            acc = 0.0
-            for a, bb in pairs:
-                acc += G[a, bb] * (2.0 if a != bb else 1.0)
-            out[gi] += acc
-    for pos, m in enumerate(sd.singles):
-        if len(cert["singles"]):
-            out[m] += cert["singles"][pos]
+    """Polynomial coefficients represented by a Gram certificate: each
+    upper-triangle entry adds to the row it feeds, twice off the diagonal."""
+    m = len(sd.expo)
+    out = np.zeros(m)
+    for rows, blk in zip(sd.rows, cert["blocks"]):
+        a, b = np.triu_indices(len(rows))
+        w = np.where(a == b, 1.0, 2.0) * np.asarray(blk["G"])[a, b]
+        out += np.bincount(rows[a, b], weights=w, minlength=m)
+    out[sd.singles] += cert["singles"]
     return out
 
 
@@ -543,6 +528,10 @@ def verify_gram(n, r, M, cert, tol=None) -> bool:
     """Check a Gram certificate against the target matrix."""
     tol = as_tolerance(tol)
     sd = _sos_data(n, r)
+    shapes = [np.shape(blk["G"]) for blk in cert["blocks"]]
+    if (shapes != [rows.shape for rows in sd.rows]
+            or np.shape(cert["singles"]) != sd.singles.shape):
+        return False
     target = sd.coeffs(M)
     got = gram_coefficient_vector(sd, cert)
     scale = max(1.0, float(np.max(np.abs(target))))
@@ -571,6 +560,29 @@ def _sos_limits(n: int, r: int) -> str | None:
     return None
 
 
+def _kr_program(R, D, r: int, tol):
+    """Minimize t subject to R + t D in level r of the hierarchy.
+
+    The rows of _sos_problem with the one family D; out of _sos_limits'
+    scope it raises SizeLimit.  Returns (sol, t*, gram, z, moment blocks):
+    gram is the Gram certificate of R + max(t*, 0) D (for t* < 0 its
+    diagonal absorbs -t* coeffs(D), which keeps it psd for D >= 0), z = -y
+    the dual functional on the monomials, with its moment blocks.  is_kr
+    calls it with (M, I), graphs.theta_r with (-J, I + A).
+    """
+    n = len(R)
+    if why := _sos_limits(n, r):
+        raise SizeLimit(why)
+    sd = _sos_data(n, r)
+    prob, grams, singles, theta = _sos_problem(sd, R, [D])
+    prob.set_cost(theta, [1.0])
+    sol = solve_sdp(prob, as_tolerance(tol))
+    tstar = float(sol.primal_obj)
+    gram = _gram_from_solution(sd, sol, grams, singles, D, max(-tstar, 0.0))
+    z = -sol.y[: len(sd.expo)]
+    return sol, tstar, gram, z, _moment_blocks(sol, grams, singles)
+
+
 def is_kr(M, r: int, tol=None) -> ConeVerdict:
     """Decide membership at level r of the sum-of-squares hierarchy.
 
@@ -584,30 +596,22 @@ def is_kr(M, r: int, tol=None) -> ConeVerdict:
     tol = as_tolerance(tol)
     A = np.real(check_hermitian(M))
     n = A.shape[0]
-    if why := _sos_limits(n, r):
-        raise SizeLimit(why)
+    sol, tstar, gram, z, blocks = _kr_program(A, np.eye(n), r, tol)
     cone = f"K^({r})"
-    scale = max(1.0, float(np.max(np.abs(A))))
-    sd = _sos_data(n, r)
-    prob, grams, singles, theta = _sos_problem(sd, A, [np.eye(n)])
-    prob.set_cost(theta, [1.0])
-    sol = solve_sdp(prob, tol)
     if sol.status is not SdpStatus.OPTIMAL:
         return ConeVerdict(
             Verdict.UNKNOWN, cone, {}, level=r, detail=f"solver {sol.status.value}"
         )
-    tstar = float(sol.primal_obj)
+    scale = max(1.0, float(np.max(np.abs(A))))
     if tstar <= tol.feas_tol * scale:
-        cert = _gram_from_solution(sd, sol, grams, singles, shift=max(-tstar, 0.0))
-        cert["shift"] = max(tstar, 0.0)
-        return ConeVerdict(Verdict.MEMBER, cone, cert, level=r, value=tstar)
-    # moment certificate from the dual
-    z = -sol.y[: len(sd.monos)]
+        gram["shift"] = max(tstar, 0.0)
+        return ConeVerdict(Verdict.MEMBER, cone, gram, level=r, value=tstar)
+    sd = _sos_data(n, r)
     cert = {
         "moment": z,
         "normalization": float(z @ sd.coeffs(np.eye(n))),
         "pairing": float(z @ sd.coeffs(A)),
-        "moment_blocks": _moment_blocks(sol, grams, singles),
+        "moment_blocks": blocks,
     }
     return ConeVerdict(Verdict.NON_MEMBER, cone, cert, level=r, value=tstar)
 
@@ -642,7 +646,7 @@ def in_kr_dual(P, r: int, tol=None) -> ConeVerdict:
             Verdict.UNKNOWN, cone, {}, level=r, detail=f"solver {sol.status.value}"
         )
     vstar = float(sol.primal_obj)
-    nrow = len(sd.monos)
+    nrow = len(sd.expo)
     if vstar >= -tol.feas_tol * scale:
         z = -sol.y[:nrow]
         y0 = float(sol.y[nrow])

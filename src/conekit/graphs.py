@@ -30,17 +30,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cones import (
-    SizeLimit,
-    _gram_from_solution,
-    _sos_data,
-    _sos_limits,
-    _sos_problem,
-    _spn_program,
-    _sym_from_upper,
-)
-from .linalg import as_tolerance, eig_sym
-from .optim import SdpStatus, solve_sdp
+from .cones import SizeLimit, _kr_program, _spn_program, _sym_from_upper
+from .linalg import eig_sym
+from .optim import SdpStatus
 
 __all__ = [
     "Graph",
@@ -253,6 +245,13 @@ class Graph:
             return None
         return SrgParams(n, k, lam, mu)
 
+    @cached_property
+    def clique(self) -> tuple:
+        """A maximum clique as a sorted vertex tuple (``_max_clique``), found
+        once per graph and shared by ``max_clique``, ``clique_number`` and
+        the colouring route of ``sigma``."""
+        return tuple(_max_clique(self))
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -401,6 +400,11 @@ def lambda_max(G: Graph) -> float:
 
 
 def max_clique(G: Graph) -> list:
+    """A maximum clique as a sorted vertex list (``Graph.clique``)."""
+    return list(G.clique)
+
+
+def _max_clique(G: Graph) -> list:
     """A maximum clique (sorted vertex list) by branch and bound with a
     greedy colouring bound."""
     n = G.n
@@ -446,7 +450,7 @@ def max_clique(G: Graph) -> list:
 
 def clique_number(G: Graph) -> int:
     """Exact clique number."""
-    return len(max_clique(G))
+    return len(G.clique)
 
 
 def independence_number(G: Graph) -> int:
@@ -557,16 +561,11 @@ def sigma(G: Graph, strategy: str = "auto", tol=None) -> SigmaResult:
     their route.  Since the colouring route needs chi = omega, every gap
     graph has chi > omega.
     """
-    return _sigma(G, strategy, tol)
-
-
-def _sigma(G: Graph, strategy: str, tol=None, clique=None) -> SigmaResult:
-    """sigma with an optional maximum clique the caller already found."""
     if not G.edges:
         raise ValueError("sigma requires a graph with at least one edge")
     key = strategy.strip().lower()
     if key == "auto":
-        res = _sigma_auto(G, tol, clique)
+        res = _sigma_auto(G, tol)
     elif key == "sdp":
         res = _sigma_sdp(G, tol)
     else:
@@ -579,15 +578,14 @@ def _sigma(G: Graph, strategy: str, tol=None, clique=None) -> SigmaResult:
     return res
 
 
-def _sigma_auto(G: Graph, tol=None, clique=None) -> SigmaResult:
+def _sigma_auto(G: Graph, tol=None) -> SigmaResult:
     if (order := _cycle_order(G)) is not None:
         return _sigma_cycle_closed(G, order)
     if G.srg is not None:
         return _sigma_srg_closed(G)
-    K = max_clique(G) if clique is None else clique
-    coloring = _omega_coloring(G, K)
+    coloring = _omega_coloring(G, G.clique)
     if coloring is not None:
-        return _sigma_coloring_closed(G, K, coloring)
+        return _sigma_coloring_closed(G, G.clique, coloring)
     steps, vertices = _core_reduction(G)
     if steps:
         return _sigma_core(G, tol, steps, vertices)
@@ -834,28 +832,16 @@ def theta_r(G: Graph, r: int, tol=None) -> ThetaResult:
     sigma(G) = theta_0(complement) / (theta_0(complement) - 1).
     """
     n = G.n
-    if why := _sos_limits(n, r):
-        raise SizeLimit(why)
     if n == 0:
         raise ValueError("theta requires at least one vertex")
-    A = np.asarray(G.adjacency)
-    sd = _sos_data(n, r)
-    prob, grams, singles, theta = _sos_problem(
-        sd, -np.ones((n, n)), [np.eye(n) + A]
-    )
-    prob.set_cost(theta, [1.0])
-    sol = solve_sdp(prob, as_tolerance(tol))
+    D = np.eye(n) + np.asarray(G.adjacency)
+    sol, value, gram, _, _ = _kr_program(-np.ones((n, n)), D, r, tol)
     if sol.status is not SdpStatus.OPTIMAL:
         raise ArithmeticError(
             f"theta solver did not converge ({sol.status.value}); "
             f"residuals {sol.residuals}"
         )
-    value = float(sol.primal_obj)
-    target = value * (np.eye(n) + A) - np.ones((n, n))
-    cert = {
-        "gram": _gram_from_solution(sd, sol, grams, singles),
-        "target": target,
-    }
+    cert = {"gram": gram, "target": value * D - np.ones((n, n))}
     return ThetaResult(value, r, cert)
 
 
@@ -888,9 +874,8 @@ def classify_map(G: Graph, tol=None) -> ThresholdReport:
     if not G.edges:
         raise ValueError("classification requires a graph with at least one edge")
     lam = lambda_max(G)
-    K = max_clique(G)
-    om = len(K)
-    sig = _sigma(G, "auto", tol, K)
+    om = len(G.clique)
+    sig = sigma(G, "auto", tol)
     t_cp = 1.0 / lam
     t_pos = 1.0 + 1.0 / (om - 1)
     if t_cp > min(1.0, sig.value) + 1e-7 or sig.value > t_pos + 1e-7:
@@ -1159,9 +1144,8 @@ def scan_gap(lines: Iterable[str], tol: float = 1e-6) -> list:
             )
             continue
         try:
-            K = max_clique(G)
-            om = len(K)
-            res = _sigma(G, "auto", None, K)
+            om = len(G.clique)
+            res = sigma(G)
         except (ValueError, ArithmeticError, SizeLimit) as exc:
             out.append(GapRecord(line_no, text, n=G.n, error=str(exc)))
             continue

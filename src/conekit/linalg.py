@@ -46,9 +46,6 @@ class Tolerance:
     eig_tol: float = 1e-8
     feas_tol: float = 1e-7
 
-    def scaled(self, factor: float) -> "Tolerance":
-        return Tolerance(self.eig_tol * factor, self.feas_tol * factor)
-
 
 DEFAULT_TOL = Tolerance()
 

@@ -87,7 +87,6 @@ class BlockRef:
     index: int
     kind: str  # "psd" | "hpsd" | "nn" | "free"
     dim: int
-    label: Optional[str] = None
 
 
 class _Block:
@@ -276,28 +275,28 @@ class SdpProblem:
         self._rhs: list[float] = []
 
     # -- variables ---------------------------------------------------------
-    def _add_block(self, kind: str, d: int, label) -> BlockRef:
+    def _add_block(self, kind: str, d: int) -> BlockRef:
         if d <= 0:
             raise ValueError("block dimension must be positive")
         blk = self._shapes.get((kind, d))
         if blk is None:
             blk = self._shapes[(kind, d)] = _Block(kind, d)
-        ref = BlockRef(len(self._blocks), kind, d, label)
+        ref = BlockRef(len(self._blocks), kind, d)
         self._blocks.append(blk)
         self._refs.append(ref)
         return ref
 
-    def add_psd(self, d: int, label: Optional[str] = None) -> BlockRef:
-        return self._add_block("psd", d, label)
+    def add_psd(self, d: int) -> BlockRef:
+        return self._add_block("psd", d)
 
-    def add_hpsd(self, d: int, label: Optional[str] = None) -> BlockRef:
-        return self._add_block("hpsd", d, label)
+    def add_hpsd(self, d: int) -> BlockRef:
+        return self._add_block("hpsd", d)
 
-    def add_nn(self, d: int, label: Optional[str] = None) -> BlockRef:
-        return self._add_block("nn", d, label)
+    def add_nn(self, d: int) -> BlockRef:
+        return self._add_block("nn", d)
 
-    def add_free(self, k: int = 1, label: Optional[str] = None) -> BlockRef:
-        ref = BlockRef(self._free_dim, "free", k, label)
+    def add_free(self, k: int = 1) -> BlockRef:
+        ref = BlockRef(self._free_dim, "free", k)
         self._free_dim += k
         return ref
 

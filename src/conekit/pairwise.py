@@ -588,8 +588,8 @@ def _pdec_sdp(pair: MatrixPair, tol: Tolerance) -> PairVerdict:
     k = len(keep)
     pos = {v: t for t, v in enumerate(keep)}
     prob = SdpProblem()
-    bone = prob.add_hpsd(k, "B1")
-    slack = prob.add_nn(k, "diag-slack")
+    bone = prob.add_hpsd(k)
+    slack = prob.add_nn(k)
     for ii in range(k):
         i = keep[ii]
         e = np.zeros(k)
@@ -605,7 +605,7 @@ def _pdec_sdp(pair: MatrixPair, tol: Tolerance) -> PairVerdict:
                 prob.add_eq(float(B[i, j].real), (bone, _pick_re(k, ii, jj)))
                 prob.add_eq(float(B[i, j].imag), (bone, _pick_im(k, ii, jj)))
                 continue
-            blk = prob.add_hpsd(2, f"bound-{i}-{j}")
+            blk = prob.add_hpsd(2)
             prob.add_eq(float(R[i, j]), (blk, _pick_diag(2, 0)))
             prob.add_eq(float(R[i, j]), (blk, _pick_diag(2, 1)))
             prob.add_eq(float(B[i, j].real), (blk, _pick_re(2, 0, 1)),

@@ -59,6 +59,42 @@ def test_kr_non_member_pairing_is_recomputed_from_the_moment():
     assert rep["pairing_negative"] is False and rep["ok"] is False
 
 
+def test_dual_member_reconstruction_is_recomputed_from_y0_and_z():
+    P = np.eye(5) + np.ones((5, 5))
+    v = cones.in_kr_dual(P, 1)
+    assert v.is_member and check(v, P)["ok"]
+    rep = check(forge(v, y0=v.certificate["y0"] + 1.0), P)
+    assert rep["y0_nonneg"] and rep["reconstruction"] is False
+    assert rep["ok"] is False
+    # z = 0 and y0 = 0 rebuild nothing; their moment blocks are all zero
+    mb = v.certificate["moment_blocks"]
+    zeros = {"blocks": [np.zeros_like(B) for B in mb["blocks"]],
+             "singles": np.zeros_like(mb["singles"])}
+    rep = check(forge(v, y0=0.0, moment=np.zeros_like(v.certificate["moment"]),
+                      moment_blocks=zeros), P)
+    assert rep["moment_blocks_match"] and rep["reconstruction"] is False
+    assert rep["ok"] is False
+
+
+@pytest.mark.parametrize("oracle, M, r", [
+    (cones.is_kr, horn_matrix(), 0),
+    (cones.in_kr_dual, np.eye(5) + np.ones((5, 5)), 1),
+])
+def test_moment_blocks_must_be_the_moments_of_z(oracle, M, r):
+    v = oracle(M, r)
+    assert "moment" in v.certificate and check(v, M)["ok"]
+    mb = v.certificate["moment_blocks"]
+    psd = {"blocks": [np.eye(len(B)) for B in mb["blocks"]],
+           "singles": mb["singles"]}
+    rep = check(forge(v, moment_blocks=psd), M)
+    assert rep["moment_blocks_psd"] and rep.get("moment_blocks_match") is False
+    assert rep["ok"] is False
+    shifted = {"blocks": mb["blocks"], "singles": mb["singles"] + 1.0}
+    rep = check(forge(v, moment_blocks=shifted), M)
+    assert rep["moment_singles_nonneg"] and rep.get("moment_blocks_match") is False
+    assert rep["ok"] is False
+
+
 def test_pcp_witness_pairing_is_recomputed():
     Nw = np.array([[0.0, 1.0], [1.0, 0.0]])
     v = PairVerdict(Verdict.NON_MEMBER, "pcp",

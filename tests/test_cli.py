@@ -360,6 +360,21 @@ def test_srg_catalog_rows_and_gap_pattern(capsys):
     }
     assert rows["petersen"]["sigma"] == pytest.approx(5.0 / 3.0)
     assert rep["verify"]["ok"] is True
+    assert all(rep["verify"][f"{name}.certificate"] for name in rows)
+
+
+def test_srg_catalog_verify_checks_the_sigma_certificates(capsys, monkeypatch):
+    real = graphs.sigma
+
+    def shifted(G, *args, **kwargs):
+        res = real(G, *args, **kwargs)
+        return dataclasses.replace(res, value=res.value - 0.01)
+
+    monkeypatch.setattr(graphs, "sigma", shifted)
+    code, rep = run(capsys, "srg-catalog", "--verify")
+    assert rep["verify"]["ok"] is False
+    assert rep["verify"]["petersen.value"] is False
+    assert rep["verify"]["petersen.certificate"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -264,6 +265,16 @@ def test_gram_certificate_detects_tampering():
     assert not verify_gram(5, 1, H, bad)
 
 
+def test_gram_certificate_of_the_wrong_shape_fails():
+    H = horn_matrix()
+    cert = is_kr(H, 1).certificate
+    assert verify_gram(5, 1, H, cert)
+    small = {**cert, "blocks": [{"G": np.eye(2)}] + cert["blocks"][1:]}
+    assert not verify_gram(5, 1, H, small)
+    assert not verify_gram(5, 1, H, {**cert, "singles": cert["singles"][:1]})
+    assert not verify_gram(5, 1, H, {**cert, "blocks": cert["blocks"][:1]})
+
+
 def test_level_moment_refutation_is_consistent():
     v = is_kr(horn_matrix(), 0)
     assert v.status is Verdict.NON_MEMBER
@@ -273,6 +284,101 @@ def test_level_moment_refutation_is_consistent():
         assert np.linalg.eigvalsh(blk)[0] > -1e-6
     if mb["singles"].size:
         assert np.min(mb["singles"]) > -1e-6
+
+
+# the hierarchy's index tables, at the shapes of the perfbench solves and
+# the largest supported ones
+TABLE_SHAPES = [(5, 0), (5, 1), (5, 2), (8, 2), (12, 1), (16, 1)]
+
+
+def _kr_compiled(n, r):
+    sd = cones._sos_data(n, r)
+    prob, grams, singles, _ = cones._sos_problem(sd, np.eye(n), [np.eye(n)])
+    blocks, sl, _, A, *_ = prob.compile()
+    return sd, grams, singles, blocks, sl, A
+
+
+@pytest.mark.parametrize("n, r", [(3, 1), (4, 2), (5, 0), (6, 1)])
+def test_sos_coefficients_expand_the_target_polynomial(n, r):
+    # at y = x^2 the target is (sum y)^r y^T M y = sum_g coeffs[g] y^g
+    rng = np.random.default_rng(n + r)
+    M = rng.normal(size=(n, n))
+    M = M + M.T
+    sd = cones._sos_data(n, r)
+    for y in rng.random((3, n)):
+        poly = np.sum(y) ** r * (y @ M @ y)
+        assert sd.coeffs(M) @ np.prod(y ** sd.expo, axis=1) == pytest.approx(poly)
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (4, 2), (5, 1), (6, 0)])
+def test_sos_coefficient_table_matches_the_term_by_term_loop(n, r):
+    # C[g, i, j] = r! / prod_k (g - e_i - e_j)_k!, one term at a time
+    sd = cones._sos_data(n, r)
+    C = np.zeros_like(sd.C)
+    for gi, g in enumerate(sd.expo.tolist()):
+        for i in range(n):
+            for j in range(n):
+                dd = list(g)
+                dd[i] -= 1
+                dd[j] -= 1
+                if min(dd) >= 0:
+                    C[gi, i, j] = float(math.factorial(r)) / math.prod(
+                        math.factorial(v) for v in dd)
+    assert np.array_equal(sd.C, C)
+    # exponents of degree r + 2, each once, first exponent descending
+    assert np.all(sd.expo.sum(axis=1) == r + 2)
+    assert sorted(map(tuple, sd.expo.tolist()), reverse=True) == sd.monomials(
+        np.arange(len(sd.expo)))
+
+
+@pytest.mark.parametrize("n, r", TABLE_SHAPES)
+def test_sos_cone_columns_have_one_nonzero_in_the_tabled_row(n, r):
+    sd, grams, singles, _, sl, A = _kr_compiled(n, r)
+    # blocks and singles split the monomials by parity; a Gram entry feeds
+    # the monomial halfway between its two
+    parts = np.concatenate(sd.blocks + [sd.singles])
+    assert np.array_equal(np.sort(parts), np.arange(len(sd.expo)))
+    for g, rows in zip(sd.blocks, sd.rows, strict=True):
+        assert len(g) > 1 and len({tuple(e % 2) for e in sd.expo[g]}) == 1
+        assert np.array_equal(2 * sd.expo[rows], sd.expo[g][:, None] + sd.expo[g])
+    # the free multiplier lives in F, so every column of A is a Gram entry
+    # or a single
+    assert np.all(np.count_nonzero(A, axis=0) == 1)
+    hit = np.argmax(A != 0, axis=0)
+    for ref, rows in zip(grams, sd.rows, strict=True):
+        a, b = np.triu_indices(ref.dim)
+        assert np.array_equal(hit[sl[ref.index]], rows[a, b])
+    assert np.array_equal(hit[sl[singles.index]], sd.singles)
+
+
+@pytest.mark.parametrize("n, r", TABLE_SHAPES)
+def test_gram_coefficient_vector_is_the_column_product(n, r):
+    sd, grams, singles, blocks, sl, A = _kr_compiled(n, r)
+    rng = np.random.default_rng(10 * n + r)
+    x = np.zeros(A.shape[1])
+    cert = {"blocks": [], "singles": rng.normal(size=len(sd.singles))}
+    for ref in grams:
+        G = rng.normal(size=(ref.dim, ref.dim))
+        G = G + G.T
+        cert["blocks"].append({"G": G})
+        x[sl[ref.index]] = blocks[ref.index].svec(G)
+    x[sl[singles.index]] = cert["singles"]
+    np.testing.assert_allclose(cones.gram_coefficient_vector(sd, cert), A @ x,
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("verdict, M, r", [
+    (is_kr, horn_matrix(), 0),
+    (in_kr_dual, np.eye(5) + np.ones((5, 5)), 1),
+])
+def test_moment_blocks_are_z_read_through_the_tables(verdict, M, r):
+    v = verdict(M, r)
+    assert v.status is (Verdict.NON_MEMBER if verdict is is_kr else Verdict.MEMBER)
+    sd = cones._sos_data(len(M), r)
+    z, mb = v.certificate["moment"], v.certificate["moment_blocks"]
+    for B, rows in zip(mb["blocks"], sd.rows, strict=True):
+        np.testing.assert_allclose(B, z[rows], atol=1e-8)
+    np.testing.assert_allclose(mb["singles"], z[sd.singles], atol=1e-8)
 
 
 def test_level_guards():

@@ -188,6 +188,17 @@ def test_clique_numbers():
     assert gr.independence_number(gr.catalog("petersen")) == 4
 
 
+def test_clique_is_found_once_per_graph(monkeypatch):
+    calls = []
+    search = gr._max_clique
+    monkeypatch.setattr(gr, "_max_clique", lambda G: calls.append(G) or search(G))
+    g = gr.catalog("wheel6")  # the colouring route fails, the core route runs
+    gr.sigma(g)
+    gr.classify_map(g)
+    assert gr.clique_number(g) == 3 and gr.max_clique(g) == list(g.clique)
+    assert calls == [g]
+
+
 def test_clique_size_guard():
     big = gr.Graph.from_edges(70, [(0, 1)])
     with pytest.raises(SizeLimit):
@@ -703,6 +714,18 @@ def test_scan_gap_n5():
     assert r.degree_sequence == (2, 2, 2, 2, 2)
     assert r.sigma == pytest.approx((5 + PHI) / 4, abs=1e-6)
     assert r.omega == 2
+
+
+def test_scan_gap_and_classify_map_call_the_public_sigma(monkeypatch):
+    # a tracer that wraps graphs.sigma sees every sigma of a scan
+    calls = []
+    real = gr.sigma
+    monkeypatch.setattr(gr, "sigma", lambda G, *a, **k: calls.append(G.n)
+                        or real(G, *a, **k))
+    lines = (DATA / "connected5.g6").read_text().splitlines()
+    assert len(gr.scan_gap(lines)) == len(calls) == 21
+    gr.classify_map(gr.catalog("petersen"))
+    assert calls[21:] == [10]
 
 
 def test_scan_gap_records_errors_and_continues():
