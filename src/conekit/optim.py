@@ -21,10 +21,24 @@ each group is a contiguous slice of the global svec vector that reshapes to
 a (g, d, d) stack, and all nn blocks form one group, the last.  The
 interior-point loop works on whole groups (the NT scaling, W X W, the
 step length and the corrector are one stacked numpy call per group,
-broadcasting over the stack), and the Schur rows come from one stack per
-group holding the group's nonzero constraint blocks.  Per-block matrices
-appear only where data enters (`add_eq`, `set_cost`) or leaves
-(`SdpSolution.blocks` and `slacks`, in declaration order).
+broadcasting over the stack).  Per-block matrices appear only where data
+enters (`add_eq`, `set_cost`) or leaves (`SdpSolution.blocks` and `slacks`,
+in declaration order).
+
+The Schur matrix A W A^T is assembled one of two ways, chosen from the
+problem's structure once per solve.  When no block is hermitian and every
+cone column of A has at most one nonzero (the SOS hierarchy programs of
+`cones` and the SPN program behind `is_spn` and `sigma`), it is a scatter
+of each block's W (x) W onto pairs of rows (`_ScatterSchur`, SDPA's F1-F3
+formulas): per iteration one gather over index tables of each block's
+svec pairs and one `bincount`, with no m x N intermediate.  Every other
+problem takes the dense product A @ (W A_i W rows), with the rows built
+from one stack per group of its nonzero constraint blocks.  Hermitian
+problems stay dense on purpose: in `pairwise._pdec_sdp` the only block the
+scatter could take is the nn slack, which gains nothing, and the changed
+rounding moves the loop's floor stop (ending two SDP-decided `is_pdec`
+solves after 15-16 iterations instead of 8).  `SdpSolution.stats` names
+the path taken ("schur") and its per-iteration work ("schur_terms").
 
 The loop ends at the first iterate whose score max(pres, dres, gap)
 exceeds 10x the best score, once the best is under 1e-6: past that
@@ -235,12 +249,15 @@ class SdpSolution:
     # "schur_solves" (solves with the factored Schur matrix, each with a
     # vector or a block right-hand side, so that a change in "newton" time
     # can be told apart from a change in their number) and "jitter" (largest
-    # used) the rest; "stop" says why the loop ended: "optimal" (eps met),
-    # "floor" (the score bounced above 10x its best once the best was under
-    # 1e-6), "step_stall" (three centering steps of no length),
-    # "lost_interiority" (an iterate left the cone), "schur_failed" (no
-    # jitter made the Schur matrix factor), "primal_infeasible" or
-    # "dual_infeasible" (a Farkas ray met eps) or "max_iter"
+    # used) the rest; "schur" is "scatter" or "dense" (how the Schur matrix
+    # was assembled) and "schur_terms" its work per iteration: the W (x) W
+    # entries scattered, or m*N*m for the dense product; "stop" says why
+    # the loop ended: "optimal" (eps met), "floor" (the score bounced above
+    # 10x its best once the best was under 1e-6), "step_stall" (three
+    # centering steps of no length), "lost_interiority" (an iterate left the
+    # cone), "schur_failed" (no jitter made the Schur matrix factor),
+    # "primal_infeasible" or "dual_infeasible" (a Farkas ray met eps) or
+    # "max_iter"
     stats: dict = field(default_factory=dict)
 
     def block(self, ref: BlockRef):
@@ -270,7 +287,8 @@ class SdpProblem:
         self._refs: list[BlockRef] = []
         self._free_dim = 0
         self._cost: dict[int, np.ndarray] = {}
-        self._free_cost: dict[int, float] = {}
+        # free terms as (first column, coefficient vector) pairs
+        self._free_cost: list[tuple[int, np.ndarray]] = []
         self._rows: list[dict] = []
         self._rhs: list[float] = []
 
@@ -306,10 +324,7 @@ class SdpProblem:
             coeffs = np.atleast_1d(np.asarray(C, dtype=float))
             if coeffs.shape != (ref.dim,):
                 raise DimensionMismatch("free cost length mismatch")
-            for j in range(ref.dim):
-                self._free_cost[ref.index + j] = (
-                    self._free_cost.get(ref.index + j, 0.0) + coeffs[j]
-                )
+            self._free_cost.append((ref.index, coeffs))
             return
         v = self._blocks[ref.index].svec(C)
         if ref.index in self._cost:
@@ -325,16 +340,13 @@ class SdpProblem:
         vector for nn blocks, and a coefficient vector (or scalar when the
         free block has dim 1) for free blocks.
         """
-        row: dict = {"free": {}}
+        row: dict = {"free": []}
         for ref, coef in terms:
             if ref.kind == "free":
                 coeffs = np.atleast_1d(np.asarray(coef, dtype=float))
                 if coeffs.shape != (ref.dim,):
                     raise DimensionMismatch("free coefficient length mismatch")
-                for j in range(ref.dim):
-                    row["free"][ref.index + j] = (
-                        row["free"].get(ref.index + j, 0.0) + coeffs[j]
-                    )
+                row["free"].append((ref.index, coeffs))
                 continue
             v = self._blocks[ref.index].svec(coef)
             if ref.index in row:
@@ -391,8 +403,8 @@ class SdpProblem:
         for i, row in enumerate(self._rows):
             for bi, v in row.items():
                 if bi == "free":
-                    for j, coef in v.items():
-                        F[i, j] = coef
+                    for j, coeffs in v:
+                        F[i, j : j + len(coeffs)] += coeffs
                 else:
                     A[i, sl[bi]] = v
         b = np.array(self._rhs)
@@ -400,8 +412,8 @@ class SdpProblem:
         for bi, v in self._cost.items():
             c[sl[bi]] = v
         c_f = np.zeros(self._free_dim)
-        for j, coef in self._free_cost.items():
-            c_f[j] = coef
+        for j, coeffs in self._free_cost:
+            c_f[j : j + len(coeffs)] += coeffs
         return self._blocks, sl, groups, A, F, b, c, c_f
 
 
@@ -454,6 +466,10 @@ class _Scaling:
             G, Gh = G[at], Gh[at]
         return G @ (Gh @ (Z @ G) @ Gh)
 
+    def w(self):
+        """W = G G^H, or x/s for the nn group."""
+        return self.w2 if self.nn else self.G @ self.Gh
+
     def xinv(self):
         """X^{-1} = Gi diag(1/sig) Gi^H, or 1/x for the nn group."""
         if self.nn:
@@ -489,6 +505,152 @@ class _Scaling:
         inv = 1.0 / self.sig
         Pv = P * (0.5 * (inv[..., :, None] + inv[..., None, :]))
         return self.Gi @ Pv @ self.Gih
+
+
+class _DenseSchur:
+    """The Schur matrix A W A^T of any problem, as the product of A with the
+    rows W A_i W.
+
+    The nonzero constraint blocks of each group form one matrix stack: row
+    rows[k] of A meets block at[k] of the group in the matrix Z[k].
+    """
+
+    kind = "dense"
+
+    def __init__(self, groups, A):
+        m, N = A.shape
+        self.groups, self.A = groups, A
+        self.terms = m * N * m
+        self.cons = []
+        for grp in groups:
+            seg = A[:, grp.sl]
+            if grp.blk.kind == "nn":
+                self.cons.append((None, None, seg))
+                continue
+            seg = seg.reshape(m, grp.g, grp.blk.size)
+            rows, at = np.nonzero(np.any(seg != 0.0, axis=2))
+            self.cons.append((rows, at, grp.blk.smat(seg[rows, at])))
+
+    def build(self, scal) -> np.ndarray:
+        """A W A^T for the group scalings scal."""
+        A = self.A
+        m = len(A)
+        WAW_rows = np.empty(A.shape)
+        for grp, sc, (rows, at, Z) in zip(self.groups, scal, self.cons):
+            if sc.nn:
+                WAW_rows[:, grp.sl] = sc.apply(Z)
+                continue
+            part = np.zeros((m, grp.g, grp.blk.size))
+            part[rows, at] = grp.blk.svec_upper(sc.apply(Z, at))
+            WAW_rows[:, grp.sl] = part.reshape(m, -1)
+        M = A @ WAW_rows.T
+        return 0.5 * (M + M.T)
+
+
+class _ScatterSchur:
+    """The Schur matrix A W A^T of a problem whose cone columns each have at
+    most one nonzero, scattered from W (x) W (SDPA's F1-F3 formulas,
+    Fujisawa-Kojima-Nakata, Math. Program. 79, 1997).
+
+    Column e of A holds the value V[e] in row R[e].  The svec entry p =
+    (a, b) of a real psd block is the matrix w_p (E_ab + E_ba) / 2, with
+    w = 1 on the diagonal and sqrt 2 off it, so for p and q = (c, e) of one
+    block <E_p, W E_q W> = w_p w_q (W_ac W_be + W_ae W_bc) / 2, and
+    M[R_p, R_q] collects V_p V_q times that.  The tables hold the pairs
+    p <= q of each block: the flat positions of W_ac, W_be, W_ae, W_bc in
+    the concatenated W stacks of the psd groups (pos, 4 x L), the constant
+    factor (coef, halved again when p = q) and the flat target R_p m + R_q
+    (at), so that M = T + T^T for the T they scatter to.  An nn entry adds
+    V_e^2 x_e / s_e to M[R_e, R_e].  An empty column (V_e = 0) scatters
+    zeros, so every pair is kept and terms = sum nu (nu + 1) / 2 over the
+    psd blocks (nu the svec size) plus the nn entries.
+    """
+
+    kind = "scatter"
+
+    def __init__(self, groups, R, V, m: int):
+        self.m = m
+        self.nn = None
+        # the tables are filled block by block in place: at n = 8, r = 2
+        # they hold 2.4e5 pairs, and whole-group temporaries would triple
+        # the solve's peak memory
+        L = sum(grp.g * grp.blk.size * (grp.blk.size + 1) // 2
+                for grp in groups if grp.blk.kind == "psd")
+        self.pos = np.empty((4, L), dtype=np.intp)
+        self.coef = np.empty(L)
+        self.at = np.empty(L, dtype=np.intp)
+        self.terms = L
+        start = base = 0  # next pair; start of the block's W in the stacks
+        for grp in groups:
+            if grp.blk.kind == "nn":
+                self.nn = (R[grp.sl], V[grp.sl] ** 2)
+                self.terms += grp.blk.size
+                continue
+            d, size = grp.blk.d, grp.blk.size
+            i, j = np.triu_indices(d)
+            P, Q = np.triu_indices(size)
+            diag = np.flatnonzero(P == Q)
+            wV = (V[grp.sl] * np.tile(grp.blk._W, grp.g)).reshape(grp.g, size)
+            Rg = R[grp.sl].reshape(grp.g, size)
+            col = np.empty(len(P), dtype=np.intp)  # a buffer for q's part
+            val = np.empty(len(P))
+            for k in range(grp.g):
+                sl = slice(start, start + len(P))
+                ac, be, ae, bc = self.pos[:, sl]
+                np.take(base + d * i, P, out=ac)
+                np.take(base + d * j, P, out=be)
+                ae[:], bc[:] = ac, be
+                np.take(i, Q, out=col)
+                ac += col
+                bc += col
+                np.take(j, Q, out=col)
+                be += col
+                ae += col
+                coef = self.coef[sl]
+                np.take(wV[k], P, out=coef)
+                coef *= np.take(wV[k], Q, out=val)
+                coef *= 0.5
+                coef[diag] *= 0.5
+                at = self.at[sl]
+                np.take(Rg[k] * m, P, out=at)
+                at += np.take(Rg[k], Q, out=col)
+                start += len(P)
+                base += d * d
+
+    @staticmethod
+    def of(groups, A) -> Optional["_ScatterSchur"]:
+        """The scatter for this problem, or None when it does not apply (a
+        hermitian block, or a cone column with two nonzeros)."""
+        if any(grp.blk.kind == "hpsd" for grp in groups):
+            return None
+        m, N = A.shape
+        rows, cols = np.nonzero(A)
+        if np.any(np.bincount(cols, minlength=N) > 1):
+            return None
+        R = np.zeros(N, dtype=np.intp)
+        V = np.zeros(N)
+        R[cols], V[cols] = rows, A[rows, cols]
+        return _ScatterSchur(groups, R, V, m)
+
+    def build(self, scal) -> np.ndarray:
+        """A W A^T for the group scalings scal."""
+        m = self.m
+        # the psd groups' W stacks, flat (empty when there are none)
+        W = np.concatenate([sc.w().ravel() for sc in scal if not sc.nn] + [[]])
+        ac, be, ae, bc = self.pos
+        K = np.take(W, ac)
+        K *= np.take(W, be)
+        K2 = np.take(W, ae)
+        K2 *= np.take(W, bc)
+        K += K2
+        K *= self.coef
+        T = np.bincount(self.at, K, minlength=m * m).reshape(m, m)
+        M = T + T.T
+        if self.nn is not None:
+            rows, vsq = self.nn
+            # the nn group is the last one
+            M.flat[:: m + 1] += np.bincount(rows, vsq * scal[-1].w2, minlength=m)
+        return M
 
 
 def _resolve_tol(tol) -> float:
@@ -582,17 +744,20 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
     blocks, sl, groups, A, F, b, c, c_f = problem.compile()
     m, N = A.shape
     k = F.shape[1]
-    # the nonzero constraint blocks of each group as one matrix stack: row
-    # rows[k] of A meets block at[k] of the group in the matrix Z[k]
-    cons = []
-    for grp in groups:
-        seg = A[:, grp.sl]
-        if grp.blk.kind == "nn":
-            cons.append((None, None, seg))
-            continue
-        seg = seg.reshape(m, grp.g, grp.blk.size)
-        rows, at = np.nonzero(np.any(seg != 0.0, axis=2))
-        cons.append((rows, at, grp.blk.smat(seg[rows, at])))
+    phase_s = dict.fromkeys(("scaling", "schur", "newton", "step",
+                             "corrector"), 0.0)
+    mark = 0.0  # set at the start of each timed stretch
+
+    def lap(phase):
+        """Charge the time since the last mark to phase."""
+        nonlocal mark
+        now = perf_counter()
+        phase_s[phase] += now - mark
+        mark = now
+
+    mark = perf_counter()
+    schur = _ScatterSchur.of(groups, A) or _DenseSchur(groups, A)
+    lap("schur")  # the Schur matrix's setup, once per solve
 
     nu = sum(blk.nu for blk in blocks)
     bnorm = 1.0 + float(np.linalg.norm(b))
@@ -614,19 +779,9 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
     status = SdpStatus.STALLED
     stop = "max_iter"
     it = 0
-    phase_s = dict.fromkeys(("scaling", "schur", "newton", "step",
-                             "corrector"), 0.0)
     refine_rounds = 0
     schur_solves = 0
     max_jitter = 0.0
-    mark = 0.0  # set at the start of each timed stretch
-
-    def lap(phase):
-        """Charge the time since the last mark to phase."""
-        nonlocal mark
-        now = perf_counter()
-        phase_s[phase] += now - mark
-        mark = now
 
     def mats_of(vec):
         """Per-block matrices of vec, in declaration order."""
@@ -706,16 +861,7 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
             break
         xinv = np.concatenate([grp.vec(sc.xinv()) for grp, sc in zip(groups, scal)])
         lap("scaling")
-        WAW_rows = np.empty((m, N))
-        for grp, sc, (rows, at, Z) in zip(groups, scal, cons):
-            if sc.nn:
-                WAW_rows[:, grp.sl] = sc.apply(Z)
-                continue
-            part = np.zeros((m, grp.g, grp.blk.size))
-            part[rows, at] = grp.blk.svec_upper(sc.apply(Z, at))
-            WAW_rows[:, grp.sl] = part.reshape(m, -1)
-        Mschur = A @ WAW_rows.T
-        Mschur = 0.5 * (Mschur + Mschur.T)
+        Mschur = schur.build(scal)
         jitter = 0.0
         for _ in range(8):
             try:
@@ -940,7 +1086,8 @@ def solve_sdp(problem: SdpProblem, tol=None, max_iter: int = 200,
                "blocks": [[blk.kind, blk.d] for blk in blocks],
                "time": phase_s, "iters": it, "best_iter": best_it, "stop": stop,
                "refine_rounds": refine_rounds, "schur_solves": schur_solves,
-               "jitter": max_jitter},
+               "jitter": max_jitter,
+               "schur": schur.kind, "schur_terms": schur.terms},
     )
 
 

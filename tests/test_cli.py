@@ -152,7 +152,7 @@ def test_cone_check_kr_dual_verified(capsys, berman_file):
         "--in", berman_file, "--verify",
     )
     assert code == 1
-    assert rep["result"]["value"] == pytest.approx(-0.0116005908, abs=1e-7)
+    assert rep["result"]["value"] == pytest.approx(-0.0116005908, abs=1e-6)
     assert rep["verify"]["ok"] is True
 
 
@@ -391,7 +391,7 @@ def test_dicke_ext_levels(capsys, berman_file):
         capsys, "dicke-ext", "--P", berman_file, "--r", "3", "--verify"
     )
     assert code3 == 1
-    assert rep3["result"]["value"] == pytest.approx(-0.0116005908, abs=1e-7)
+    assert rep3["result"]["value"] == pytest.approx(-0.0116005908, abs=1e-6)
     assert rep3["verify"]["ok"] is True
 
 

@@ -436,7 +436,7 @@ def test_dual_membership_reconstruction():
 def test_dual_separation_values():
     d1 = in_kr_dual(berman_matrix(), 1)
     assert d1.status is Verdict.NON_MEMBER
-    assert d1.value == pytest.approx(-0.011600590846556, abs=1e-9)
+    assert d1.value == pytest.approx(-0.011600590846556, abs=1e-6)
     M = d1.certificate["M"]
     # the separator is a certified level-1 matrix pairing negatively
     assert d1.certificate["pairing"] == pytest.approx(d1.value, abs=1e-7)
@@ -447,19 +447,41 @@ def test_dual_separation_values():
 
 
 def test_berman_dual_solve_stops_at_its_first_bounce(monkeypatch):
-    sols = []
+    seen = []
 
     def spy(prob, tol=None):
         sol = solve_sdp(prob, tol)
-        sols.append(sol)
+        seen.append((prob, tol, sol))
         return sol
 
     monkeypatch.setattr(cones, "solve_sdp", spy)
     d1 = in_kr_dual(berman_matrix(), 1)
-    assert len(sols) == 1
-    stats = sols[0].stats
-    assert (stats["stop"], stats["best_iter"], stats["iters"]) == ("floor", 12, 13)
-    assert d1.value == pytest.approx(-0.011600590846556, abs=1e-9)
+    assert len(seen) == 1
+    prob, tol, sol = seen[0]
+    stats = sol.stats
+    assert stats["stop"] == "floor"
+    assert stats["best_iter"] < stats["iters"]
+    # the solver is deterministic, so one iteration less runs out of
+    # iterations: no earlier bounce was passed over
+    assert solve_sdp(prob, tol, max_iter=stats["iters"] - 1).stats["stop"] == "max_iter"
+    assert d1.value == pytest.approx(-0.011600590846556, abs=1e-6)
+
+
+def test_berman_dual_value_is_invariant_under_relabelling_and_scale():
+    # the level-1 dual optimum of the Berman matrix is a property of the
+    # matrix: each relabelling and scale gives a checked separator and the
+    # same value per unit scale, to the solver's spread at its floor
+    B = berman_matrix().astype(float)
+    perms = np.random.default_rng(0).permuted(np.tile(np.arange(5), (12, 1)),
+                                              axis=1)
+    perms[0] = np.arange(5)
+    for p in perms:
+        for scale in (1.0, 3.0, 0.25):
+            P = scale * B[np.ix_(p, p)]
+            v = in_kr_dual(P, 1)
+            assert v.status is Verdict.NON_MEMBER
+            assert check(v, P)["ok"]
+            assert v.value / scale == pytest.approx(-0.011600590846556, abs=1e-6)
 
 
 def test_dual_of_factorizable_matrix_all_levels():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from conekit import certificates, cones, optim
+from conekit import certificates, cones, optim, pairwise
 from conekit.linalg import Tolerance
 from conekit.optim import (
     SdpProblem,
@@ -572,6 +572,122 @@ def test_group_svec_smat_match_per_block(kind, d):
         M = np.stack([_random_herm(rng, d, kind) + rng.standard_normal((d, d))
                       for _ in range(g)])
         assert np.array_equal(blk.svec(M), np.stack([blk.svec(Mq) for Mq in M]))
+
+
+# -- Schur matrix assembly --------------------------------------------------
+
+
+def _random_scalings(groups, rng):
+    """NT scalings of each group at random interior points."""
+    out = []
+    for grp in groups:
+        if grp.blk.kind == "nn":
+            x, s = rng.random((2, grp.blk.d)) + 0.1
+            out.append(optim._Scaling("nn", x, s))
+            continue
+        X, S = (np.stack([_random_pd(rng, grp.blk.d, grp.blk.kind)
+                          for _ in range(grp.g)]) for _ in range(2))
+        out.append(optim._Scaling(grp.blk.kind, X, S))
+    return out
+
+
+def _captured(monkeypatch, fn, *args):
+    """The problems fn(*args) passes to cones.solve_sdp, with their
+    solutions."""
+    seen = []
+
+    def spy(prob, tol=None):
+        seen.append((prob, solve_sdp(prob, tol)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cones, "solve_sdp", spy)
+    fn(*args)
+    monkeypatch.undo()
+    return seen
+
+
+def _assert_scatter_is_the_dense_product(prob, seed):
+    _, _, groups, A, _, _, _, _ = prob.compile()
+    scatter = optim._ScatterSchur.of(groups, A)
+    assert scatter is not None
+    scal = _random_scalings(groups, np.random.default_rng(seed))
+    dense = optim._DenseSchur(groups, A).build(scal)
+    M = scatter.build(scal)
+    assert np.array_equal(M, M.T)
+    assert np.max(np.abs(M - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n, r", [(5, 0), (5, 1), (5, 2), (8, 2), (12, 1),
+                                  (16, 1)])
+def test_scatter_schur_matches_dense_on_is_kr_programs(n, r):
+    # _kr_program's rows: _sos_problem with the one family D = I
+    sd = cones._sos_data(n, r)
+    prob = cones._sos_problem(sd, np.eye(n), [np.eye(n)])[0]
+    _assert_scatter_is_the_dense_product(prob, 10 * n + r)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_scatter_schur_matches_dense_on_in_kr_dual(monkeypatch, r):
+    (prob, sol), = _captured(monkeypatch, cones.in_kr_dual,
+                             cones.berman_matrix(), r)
+    assert sol.stats["schur"] == "scatter"
+    _assert_scatter_is_the_dense_product(prob, r)
+
+
+def test_scatter_schur_matches_dense_on_the_sigma_sdp(monkeypatch):
+    from conekit.graphs import catalog, sigma
+
+    (prob, sol), = _captured(monkeypatch, sigma, catalog("petersen"), "sdp")
+    assert sol.stats["schur"] == "scatter"
+    assert sol.stats["blocks"] == [["psd", 10], ["nn", 55]]
+    _assert_scatter_is_the_dense_product(prob, 7)
+
+
+def test_hermitian_and_shared_columns_take_the_dense_path(monkeypatch):
+    from conekit.graphs import catalog
+    from conekit.pairwise import is_pdec, pair_form
+
+    seen = []
+
+    def spy(prob, tol=None):
+        seen.append(solve_sdp(prob, tol))
+        return seen[-1]
+
+    monkeypatch.setattr(pairwise, "solve_sdp", spy)
+    G = catalog("pentagon")
+    # only the SDP decides this pair (its clip split fails)
+    is_pdec(pair_form(np.ones((5, 5)), np.eye(5) - 1.7 * G.adjacency))
+    monkeypatch.undo()
+    assert seen and all(s.stats["schur"] == "dense" for s in seen)
+    # a diagonal entry of X in two rows
+    p = SdpProblem()
+    X = p.add_psd(3)
+    p.add_eq(1.0, (X, np.eye(3)))
+    p.add_eq(2.0, (X, np.diag([1.0, 1.0, 2.0])))
+    p.add_eq(0.1, (X, sym_basis(3, 0, 1)))
+    _, _, groups, A, _, _, _, _ = p.compile()
+    assert optim._ScatterSchur.of(groups, A) is None
+    sol = solve_sdp(p)
+    assert sol.stats["schur"] == "dense"
+    assert sol.stats["schur_terms"] == 3 * 6 * 3  # m * N * m
+    # the min-eig problem scatters until a column joins a second row
+    p, _ = min_eig_problem(np.diag([1.0, 2.0, 3.0]))
+    assert solve_sdp(p).stats["schur"] == "scatter"
+    Y = p.add_psd(2)
+    p.add_eq(1.0, (Y, np.eye(2)))
+    p.add_eq(0.5, (Y, np.diag([1.0, 0.0])))
+    assert solve_sdp(p).stats["schur"] == "dense"
+
+
+def test_scatter_schur_stats_count_the_pairs_per_iteration():
+    # is_kr at (5, 1): five 5 x 5 Gram blocks (svec size 15) and ten
+    # singles, each pair of a block and each single scattered once
+    sd = cones._sos_data(5, 1)
+    prob, grams, singles, _ = cones._sos_problem(sd, np.eye(5), [np.eye(5)])
+    assert [g.dim for g in grams] == [5] * 5 and singles.dim == 10
+    sol = solve_sdp(prob)
+    assert sol.stats["schur"] == "scatter"
+    assert sol.stats["schur_terms"] == 5 * (15 * 16 // 2) + 10
 
 
 # -- LP front end -----------------------------------------------------------

@@ -384,7 +384,7 @@ def test_dicke_extendibility_level_two_is_ppt():
 def test_dicke_extendibility_berman_fails_level_three():
     v = qt.dicke_extendibility(berman_matrix().astype(float), 3)
     assert v.status is Verdict.NON_MEMBER
-    assert v.value == pytest.approx(-0.011600590846556, abs=1e-9)
+    assert v.value == pytest.approx(-0.011600590846556, abs=1e-6)
 
 
 def test_dicke_extendibility_level_guard():
