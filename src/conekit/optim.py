@@ -30,15 +30,18 @@ problem's structure once per solve.  When no block is hermitian and every
 cone column of A has at most one nonzero (the SOS hierarchy programs of
 `cones` and the SPN program behind `is_spn` and `sigma`), it is a scatter
 of each block's W (x) W onto pairs of rows (`_ScatterSchur`, SDPA's F1-F3
-formulas): per iteration one gather over index tables of each block's
-svec pairs and one `bincount`, with no m x N intermediate.  Every other
-problem takes the dense product A @ (W A_i W rows), with the rows built
-from one stack per group of its nonzero constraint blocks.  Hermitian
-problems stay dense on purpose: in `pairwise._pdec_sdp` the only block the
-scatter could take is the nn slack, which gains nothing, and the changed
-rounding moves the loop's floor stop (ending two SDP-decided `is_pdec`
-solves after 15-16 iterations instead of 8).  `SdpSolution.stats` names
-the path taken ("schur") and its per-iteration work ("schur_terms").
+formulas): per iteration one gather per group over index tables of its
+svec pairs (cached per block order) and one `bincount`, with no m x N
+intermediate.  The scatter is taken only when its svec pairs do not
+outnumber the m N entries of A, so a large block that few rows see stays
+dense.  Every other problem takes the dense product A @ (W A_i W rows),
+with the rows built from one stack per group of its nonzero constraint
+blocks.  Hermitian problems stay dense on purpose: in `pairwise._pdec_sdp`
+the only block the scatter could take is the nn slack, which gains
+nothing, and the changed rounding moves the loop's floor stop (ending two
+SDP-decided `is_pdec` solves after 15-16 iterations instead of 8).
+`SdpSolution.stats` names the path taken ("schur") and its per-iteration
+work ("schur_terms").
 
 The loop ends at the first iterate whose score max(pres, dres, gap)
 exceeds 10x the best score, once the best is under 1e-6: past that
@@ -66,6 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from time import perf_counter
 from typing import Optional
 
@@ -547,6 +551,23 @@ class _DenseSchur:
         return 0.5 * (M + M.T)
 
 
+@lru_cache(maxsize=None)
+def _svec_pairs(d: int):
+    """Index tables of the svec pairs p <= q of a real d x d block, p = (a, b)
+    and q = (c, e) in svec order: the entries P and Q of each pair, the
+    pairs with p = q (diag) and the flat positions in W of W_ac, W_be, W_ae
+    and W_bc (pos, 4 x L).  Cached, so that every solve of one shape shares
+    them: at d = 36 (the n = 8, r = 2 hierarchy) they hold 2.2e5 pairs."""
+    i, j = np.triu_indices(d)
+    P, Q = np.triu_indices(len(i))
+    a, b, c, e = i[P], j[P], i[Q], j[Q]
+    tables = (P, Q, np.flatnonzero(P == Q),
+              np.stack((a * d + c, b * d + e, a * d + e, b * d + c)))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 class _ScatterSchur:
     """The Schur matrix A W A^T of a problem whose cone columns each have at
     most one nonzero, scattered from W (x) W (SDPA's F1-F3 formulas,
@@ -556,9 +577,9 @@ class _ScatterSchur:
     (a, b) of a real psd block is the matrix w_p (E_ab + E_ba) / 2, with
     w = 1 on the diagonal and sqrt 2 off it, so for p and q = (c, e) of one
     block <E_p, W E_q W> = w_p w_q (W_ac W_be + W_ae W_bc) / 2, and
-    M[R_p, R_q] collects V_p V_q times that.  The tables hold the pairs
-    p <= q of each block: the flat positions of W_ac, W_be, W_ae, W_bc in
-    the concatenated W stacks of the psd groups (pos, 4 x L), the constant
+    M[R_p, R_q] collects V_p V_q times that.  Each psd group keeps the
+    positions of its pairs p <= q in its own W stack (`_svec_pairs`,
+    shifted by d^2 per block); the tables over all pairs hold the constant
     factor (coef, halved again when p = q) and the flat target R_p m + R_q
     (at), so that M = T + T^T for the T they scatter to.  An nn entry adds
     V_e^2 x_e / s_e to M[R_e, R_e].  An empty column (V_e = 0) scatters
@@ -568,81 +589,71 @@ class _ScatterSchur:
 
     kind = "scatter"
 
-    def __init__(self, groups, R, V, m: int):
+    def __init__(self, groups, R, V, m: int, pairs: int):
         self.m = m
         self.nn = None
-        # the tables are filled block by block in place: at n = 8, r = 2
-        # they hold 2.4e5 pairs, and whole-group temporaries would triple
-        # the solve's peak memory
-        L = sum(grp.g * grp.blk.size * (grp.blk.size + 1) // 2
-                for grp in groups if grp.blk.kind == "psd")
-        self.pos = np.empty((4, L), dtype=np.intp)
-        self.coef = np.empty(L)
-        self.at = np.empty(L, dtype=np.intp)
-        self.terms = L
-        start = base = 0  # next pair; start of the block's W in the stacks
-        for grp in groups:
+        self.coef = np.empty(pairs)
+        self.at = np.empty(pairs, dtype=np.intp)
+        self.terms = pairs
+        # per psd group: its index, its slice of the pairs, its positions
+        self.parts = []
+        start = 0
+        for gi, grp in enumerate(groups):
             if grp.blk.kind == "nn":
                 self.nn = (R[grp.sl], V[grp.sl] ** 2)
                 self.terms += grp.blk.size
                 continue
-            d, size = grp.blk.d, grp.blk.size
-            i, j = np.triu_indices(d)
-            P, Q = np.triu_indices(size)
-            diag = np.flatnonzero(P == Q)
-            wV = (V[grp.sl] * np.tile(grp.blk._W, grp.g)).reshape(grp.g, size)
-            Rg = R[grp.sl].reshape(grp.g, size)
-            col = np.empty(len(P), dtype=np.intp)  # a buffer for q's part
-            val = np.empty(len(P))
-            for k in range(grp.g):
-                sl = slice(start, start + len(P))
-                ac, be, ae, bc = self.pos[:, sl]
-                np.take(base + d * i, P, out=ac)
-                np.take(base + d * j, P, out=be)
-                ae[:], bc[:] = ac, be
-                np.take(i, Q, out=col)
-                ac += col
-                bc += col
-                np.take(j, Q, out=col)
-                be += col
-                ae += col
-                coef = self.coef[sl]
-                np.take(wV[k], P, out=coef)
-                coef *= np.take(wV[k], Q, out=val)
-                coef *= 0.5
-                coef[diag] *= 0.5
-                at = self.at[sl]
-                np.take(Rg[k] * m, P, out=at)
-                at += np.take(Rg[k], Q, out=col)
-                start += len(P)
-                base += d * d
+            g, d, size = grp.g, grp.blk.d, grp.blk.size
+            P, Q, diag, pos = _svec_pairs(d)
+            sl = slice(start, start + g * len(P))
+            if g > 1:  # block k of the stack starts at k d^2
+                shift = d * d * np.arange(g)[:, None]
+                pos = (pos[:, None, :] + shift).reshape(4, -1)
+            self.parts.append((gi, sl, pos))
+            wV = (V[grp.sl] * np.tile(grp.blk._W, g)).reshape(g, size)
+            coef = self.coef[sl].reshape(g, -1)
+            np.take(wV, P, axis=1, out=coef)
+            coef *= np.take(wV, Q, axis=1)
+            coef *= 0.5
+            coef[:, diag] *= 0.5
+            Rg = R[grp.sl].reshape(g, size)
+            at = self.at[sl].reshape(g, -1)
+            np.take(Rg * m, P, axis=1, out=at)
+            at += np.take(Rg, Q, axis=1)
+            start = sl.stop
 
     @staticmethod
     def of(groups, A) -> Optional["_ScatterSchur"]:
         """The scatter for this problem, or None when it does not apply (a
-        hermitian block, or a cone column with two nonzeros)."""
+        hermitian block, or a cone column with two nonzeros) or does not pay:
+        its pairs outnumber the m N entries of A, the size of the dense
+        path's W A_i W rows (one row over a d x d block would scatter d^4 / 8
+        pairs where the dense product takes d^2 / 2 terms)."""
         if any(grp.blk.kind == "hpsd" for grp in groups):
             return None
         m, N = A.shape
-        rows, cols = np.nonzero(A)
-        if np.any(np.bincount(cols, minlength=N) > 1):
+        pairs = sum(grp.g * grp.blk.size * (grp.blk.size + 1) // 2
+                    for grp in groups if grp.blk.kind == "psd")
+        if pairs > m * N:
             return None
-        R = np.zeros(N, dtype=np.intp)
-        V = np.zeros(N)
-        R[cols], V[cols] = rows, A[rows, cols]
-        return _ScatterSchur(groups, R, V, m)
+        nz = A != 0.0
+        R = np.argmax(nz, axis=0)  # a column's first nonzero row (0 if none)
+        V = A[R, np.arange(N)]
+        if np.count_nonzero(nz) > np.count_nonzero(V):
+            return None
+        return _ScatterSchur(groups, R, V, m, pairs)
 
     def build(self, scal) -> np.ndarray:
         """A W A^T for the group scalings scal."""
         m = self.m
-        # the psd groups' W stacks, flat (empty when there are none)
-        W = np.concatenate([sc.w().ravel() for sc in scal if not sc.nn] + [[]])
-        ac, be, ae, bc = self.pos
-        K = np.take(W, ac)
-        K *= np.take(W, be)
-        K2 = np.take(W, ae)
-        K2 *= np.take(W, bc)
-        K += K2
+        K = np.empty(len(self.coef))
+        for gi, sl, (ac, be, ae, bc) in self.parts:
+            # fancy indexing gathers faster than np.take here
+            W = scal[gi].w().ravel()
+            k = np.multiply(W[ac], W[be], out=K[sl])
+            k2 = W[ae]
+            k2 *= W[bc]
+            k += k2
         K *= self.coef
         T = np.bincount(self.at, K, minlength=m * m).reshape(m, m)
         M = T + T.T

@@ -679,6 +679,22 @@ def test_hermitian_and_shared_columns_take_the_dense_path(monkeypatch):
     assert solve_sdp(p).stats["schur"] == "dense"
 
 
+def test_more_svec_pairs_than_entries_of_a_take_the_dense_path():
+    # one row over a d x d block (svec size nu = d (d + 1) / 2): its
+    # nu (nu + 1) / 2 svec pairs outnumber the nu entries of A, and the
+    # scatter's tables would grow with d^4 where the dense product does nu
+    # terms
+    d = 12
+    p = SdpProblem()
+    X = p.add_psd(d)
+    p.add_eq(1.0, (X, np.eye(d)))
+    p.set_cost(X, np.diag(np.arange(1.0, d + 1)))
+    sol = solve_sdp(p)
+    assert sol.stats["schur"] == "dense"
+    assert sol.stats["schur_terms"] == d * (d + 1) // 2  # m * N * m, m = 1
+    assert sol.primal_obj == pytest.approx(1.0, abs=1e-7)
+
+
 def test_scatter_schur_stats_count_the_pairs_per_iteration():
     # is_kr at (5, 1): five 5 x 5 Gram blocks (svec size 15) and ten
     # singles, each pair of a block and each single scattered once
